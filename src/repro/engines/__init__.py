@@ -1,7 +1,8 @@
 """Execution backends for the CONGEST simulator.
 
-The :class:`~repro.congest.simulator.Simulator` owns two pure-Python
-engines (``sweep`` and ``event``); this package adds the vectorized
+The :class:`~repro.congest.simulator.Simulator` runs the ``sweep`` and
+``event`` engines itself, as the two modes of one round kernel
+(:mod:`repro.congest.kernel`); this package adds the vectorized
 ``bulk`` engine plus the capability-probing dispatcher that picks the
 fastest engine able to run a given simulation (``engine="auto"``).
 
@@ -19,23 +20,19 @@ Modules
 """
 
 from repro.engines.dispatcher import (
-    ENGINE_PREFERENCE,
     EngineDecision,
     bulk_capability,
     decide_engine,
     shard_capability,
     numpy_available,
     reset_probe,
-    resolve_engine,
 )
 
 __all__ = [
-    "ENGINE_PREFERENCE",
     "EngineDecision",
     "bulk_capability",
     "decide_engine",
     "shard_capability",
     "numpy_available",
     "reset_probe",
-    "resolve_engine",
 ]

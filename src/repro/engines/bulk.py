@@ -27,13 +27,13 @@ layouts are fixed-width except the census varints, which are computed
 per value); a deterministic **sampling audit** encodes a sample of
 per-edge round frames through :func:`repro.wire.codec.encode_frame` and
 cross-checks the charged totals, failing with the same
-:class:`~repro.exceptions.WireCodecError` the sweep engine's frame audit
-raises.  When a run needs per-send observability (a tracer, the full
+:class:`~repro.exceptions.WireCodecError` the round kernel's frame
+audit raises.  When a run needs per-send observability (a tracer, the full
 frame audit, telemetry send/round monitors) or ends exceptionally
 (strict-mode violation, round-limit overrun), the engine *replays* the
 precomputed send inventory through the exact billing sequence of the
-sweep engine's ``_step`` — same drain order, same message objects, same
-partial state at the point of raise.
+round kernel's ``RoundKernel.step`` — same drain order, same message
+objects, same partial state at the point of raise.
 """
 
 from __future__ import annotations
@@ -44,18 +44,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arithmetic.lfloat import LFloat, Rounding
+from repro.congest.kernel import audit_frames
 from repro.core.config import UNIT_STRESS
-from repro.core.messages import (
-    AggStart,
-    AggValue,
-    Announce,
-    BfsWave,
-    DfsToken,
-    DoneReport,
-    SubtreeCount,
-    TreeJoin,
-    TreeWave,
-)
 from repro.core.records import NodeLedger
 from repro.core.schedule import (
     census_schedule,
@@ -67,6 +57,17 @@ from repro.exceptions import (
     CongestViolationError,
     SimulationNotTerminatedError,
     WireCodecError,
+)
+from repro.wire import (
+    AggStart,
+    AggValue,
+    Announce,
+    BfsWave,
+    DfsToken,
+    DoneReport,
+    SubtreeCount,
+    TreeJoin,
+    TreeWave,
 )
 from repro.wire.codec import encode_frame
 from repro.wire.format import TYPE_TAG_BITS
@@ -845,7 +846,7 @@ def _replay(sim, plan: _Plan) -> None:
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
     round monitors, the full frame audit) or ends exceptionally; follows
-    ``Simulator._step`` line for line — same drain order, same per-edge
+    ``RoundKernel.step`` line for line — same drain order, same per-edge
     totals, same raise points, same partial tracer/stats state.
     """
     stats = sim.stats
@@ -916,7 +917,7 @@ def _replay(sim, plan: _Plan) -> None:
             i += 1
         if edge_load:
             if audit:
-                sim._audit_frames(round_number, edge_load, frames)
+                audit_frames(wire, round_number, edge_load, frames)
                 frames.clear()
             stats.observe_round(round_number, edge_load)
             if on_round_end is not None:

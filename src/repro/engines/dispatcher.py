@@ -1,20 +1,19 @@
 """Capability-probing backend dispatcher for ``engine="auto"``.
 
 The dispatcher answers one question: *which engine should run this
-simulation?*  Engines are ordered fastest-first in
-:data:`ENGINE_PREFERENCE`; each has a capability probe, and ``"auto"``
-resolves to the first engine whose probe passes.
+simulation?*  ``"auto"`` resolves to ``bulk`` when its capability probe
+passes and to ``event`` otherwise:
 
 * ``bulk`` — the vectorized structure-of-arrays engine.  Requires numpy
   and a run inside its protocol envelope: every node is the stock
   :class:`~repro.core.node.BetweennessNode`, the arithmetic is an
   L-float context with ``L <= 30`` (so batched mantissa products fit in
   int64 lanes), no fault injection, and at least two nodes.
-* ``event`` — pure Python, active-set scheduling; runs any protocol
-  honoring the wake contract.  The fallback when bulk is not capable.
-* ``sweep`` — pure Python, lockstep reference; runs anything.  Kept
-  last in the chain for completeness (``event`` never refuses a run,
-  so auto-resolution stops there in practice).
+* ``event`` — the round kernel with active-set scheduling; runs any
+  protocol honoring the wake contract and never refuses a run.
+
+``sweep`` (the lockstep reference mode of the same kernel) and
+``shard`` are never auto-selected.
 
 Explicitly requesting ``engine="bulk"`` for a run outside the envelope
 raises :class:`~repro.exceptions.EngineCapabilityError`; ``"auto"``
@@ -55,9 +54,6 @@ class EngineDecision(NamedTuple):
             "engine": self.resolved,
             "engine_reason": self.reason,
         }
-
-#: Auto-resolution order, fastest first.
-ENGINE_PREFERENCE = ("bulk", "event", "sweep")
 
 #: Largest L-float precision the int64 kernels support: mantissa
 #: products need 2L bits and sticky-capped additions 2L + 2, so L = 30
@@ -269,24 +265,15 @@ def decide_engine(requested: str, simulator) -> EngineDecision:
         if not capable:
             raise EngineCapabilityError("bulk", reason)
         return EngineDecision("bulk", "bulk", "explicitly requested")
-    # requested == "auto": walk the preference chain.
+    # requested == "auto"
     if capable:
         logger.info("engine=auto resolved to 'bulk' (numpy batch backend)")
         return EngineDecision(
             "auto", "bulk", "capability probe passed (numpy batch backend)"
         )
-    for fallback in ENGINE_PREFERENCE[1:]:
-        logger.info(
-            "engine=auto resolved to %r (bulk unavailable: %s)",
-            fallback,
-            reason,
-        )
-        return EngineDecision(
-            "auto", fallback, "bulk unavailable: {}".format(reason)
-        )
-    raise EngineCapabilityError(requested, "no capable engine")  # pragma: no cover
-
-
-def resolve_engine(requested: str, simulator) -> str:
-    """Backward-compatible shim: the resolved name of :func:`decide_engine`."""
-    return decide_engine(requested, simulator).resolved
+    logger.info(
+        "engine=auto resolved to 'event' (bulk unavailable: %s)", reason
+    )
+    return EngineDecision(
+        "auto", "event", "bulk unavailable: {}".format(reason)
+    )

@@ -10,9 +10,30 @@ the distributed algorithm itself.
 
 from __future__ import annotations
 
+import inspect
+
 
 class ReproError(Exception):
-    """Base class for every exception raised by the ``repro`` package."""
+    """Base class for every exception raised by the ``repro`` package.
+
+    Subclasses whose constructor takes structured fields store each
+    parameter under its own name; pickling rebuilds them from those
+    fields (``args`` holds only the formatted message), so an error
+    raised in a forked shard worker reaches the coordinator intact.
+    """
+
+    def __reduce__(self):
+        names = [
+            name
+            for name, param in inspect.signature(
+                type(self).__init__
+            ).parameters.items()
+            if param.kind is param.POSITIONAL_OR_KEYWORD and name != "self"
+        ]
+        if not names:
+            return super().__reduce__()
+        fields = tuple(getattr(self, name) for name in names)
+        return (type(self), fields, self.__dict__)
 
 
 class GraphError(ReproError):

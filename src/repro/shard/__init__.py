@@ -1,7 +1,8 @@
 """Sharded multi-process CONGEST runtime.
 
 ``repro.shard`` partitions the node set across worker processes and
-runs each shard with the event-engine inner loop, exchanging only
+steps each shard through the round kernel of the event engine
+(:class:`repro.congest.kernel.RoundKernel`), exchanging only
 cross-shard traffic per round as encoded wire frames over
 ``multiprocessing`` pipes.  See ``docs/sharding.md`` for the wire
 batching format, the barrier protocol and the fault semantics.

@@ -9,10 +9,12 @@ required (node factories are closures; forked children inherit the
 pre-built node objects copy-on-write), which the dispatcher's
 ``shard_capability`` probe enforces.
 
-Each worker drives its shard's nodes with a faithful copy of the event
-engine's inner loop (wake heaps, passive-message deferral, crash
-filtering, fault pipeline).  The coordinator replicates the event
-engine's *outer* loop decision for decision — which round to process,
+Each worker steps its shard's nodes through the same
+:class:`~repro.congest.kernel.RoundKernel` the single-process event
+engine uses (wake heaps, passive-message deferral, crash filtering,
+fault pipeline), with a node -> shard owner table routing sends to
+other shards into a cross-shard outbox.  The coordinator replicates the
+event engine's *outer* loop decision for decision — which round to process,
 when to fast-forward idle stretches, when to declare termination,
 stalling, or the round limit — from per-round worker reports, so a
 sharded run is **bit-identical** to ``engine="event"``: same rounds,
@@ -47,12 +49,11 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.congest.node import Inbox, RoundContext
+from repro.congest.kernel import RoundKernel
 from repro.congest.stats import SimulationStats
 from repro.exceptions import (
     CheckpointError,
     CheckpointPause,
-    CongestViolationError,
     SimulationNotTerminatedError,
     SimulationStalledError,
 )
@@ -103,27 +104,17 @@ def _shard_dead_round(plan, members) -> Optional[int]:
 
 
 class _ShardWorker:
-    """One shard's event-engine inner loop (runs in parent or child)."""
+    """One shard's round kernel plus its frame exchange (parent or child)."""
 
     def __init__(self, sim, shard_id, assignment, shards, dead_round):
         self.sim = sim
         self.shard_id = shard_id
-        self.assignment = assignment
         self.members = shards[shard_id]
         self.dead_round = dead_round
         self.arith = getattr(_unwrap(sim.nodes[0]), "arith", None)
-        # Local event-engine state.  In the parent this aliases the
-        # simulator's own (unused by the coordinator); in a forked child
-        # it is the inherited copy.
-        self.in_flight: Dict[int, List[Tuple[int, Any]]] = {}
-        self.future: List[Tuple[int, int, int, int, int, Any]] = []
-        self._fseq = 0
-        self.edge_load: Dict[Tuple[int, int], List[int]] = {}
-        self.edge_frames: Dict[Tuple[int, int], List[Any]] = {}
-        # Cross-shard records generated this round, keyed by dst shard.
-        self._outbox: Dict[int, List[Tuple[int, int, int, Any]]] = {}
-        self.cross_messages = 0
-        self.cross_bits = 0
+        # In the parent the kernels of shards >= 1 stay at round 0 (the
+        # forked children run their copies).
+        self.kernel = RoundKernel(sim, owner=assignment, shard=shard_id)
         # Supervision plumbing (set by _child_main in forked children).
         self.incarnation = 0
         self.heartbeat = None
@@ -168,119 +159,32 @@ class _ShardWorker:
         if self._hangs or self._slows:
             self._apply_infra_faults(round_number)
         sim = self.sim
-        nodes = sim.nodes
-        deferred = sim._deferred
-        has_filter = sim._has_wake_filter
-        in_flight = self.in_flight
-        self.in_flight = {}
-        # 1. Ingest cross-shard batches.  Fresh records (due == send
-        # round + 1) interleave with local fresh sends sender-sorted —
-        # reproducing the single-process invariant that inboxes are
-        # sender-sorted by construction; future records (delays,
-        # duplicates) join the local future heap keyed so pop order
-        # matches the global engine's (due, global seq) order.
+        kernel = self.kernel
+        # Ingest cross-shard batches.  Fresh records (due == send round
+        # + 1) are re-sorted by sender into the local fresh sends,
+        # reproducing the single-process sender-sorted inboxes (stable:
+        # per-sender runs are contiguous within one batch and a sender
+        # lives in exactly one shard); later ones join the future heap.
         touched: Set[int] = set()
-        for src_shard, send_round, word, bits, opaque in frames:
+        for _src_shard, send_round, word, bits, opaque in frames:
             for sender, receiver, due, message in decode_shard_frame(
                 word, bits, opaque, send_round, sim.wire, self.arith
             ):
+                kernel.post(send_round, sender, receiver, due, message)
                 if due == send_round + 1:
-                    bucket = in_flight.get(receiver)
-                    if bucket is None:
-                        in_flight[receiver] = [(sender, message)]
-                    else:
-                        bucket.append((sender, message))
-                        touched.add(receiver)
-                else:
-                    self._fseq += 1
-                    heapq.heappush(
-                        self.future,
-                        (due, send_round, sender, self._fseq, receiver,
-                         message),
-                    )
+                    touched.add(receiver)
         by_sender = itemgetter(0)
         for receiver in touched:
-            # Stable: per-sender runs are contiguous within one source
-            # list and a sender lives in exactly one shard.
-            in_flight[receiver].sort(key=by_sender)
-        # 2. Mature local futures due this round (appended after fresh
-        # arrivals, exactly like Simulator._mature_futures).
-        future = self.future
-        while future and future[0][0] <= round_number:
-            _due, _sr, sender, _seq, target, message = heapq.heappop(future)
-            bucket = in_flight.get(target)
-            if bucket is None:
-                in_flight[target] = [(sender, message)]
-            else:
-                bucket.append((sender, message))
-        # 3. Delivery with the wake filter (event-engine semantics).
-        receivers: Set[int] = set()
-        for target, arrivals in in_flight.items():
-            box = deferred[target]
-            if box is None:
-                deferred[target] = arrivals
-            else:
-                box.extend(arrivals)
-            if has_filter[target]:
-                wakes = nodes[target].message_wakes
-                for sender, message in arrivals:
-                    if wakes(sender, message):
-                        receivers.add(target)
-                        break
-            else:
-                receivers.add(target)
-        # 4. Active set (local nodes only — wakes are registered by
-        # local nodes and arrivals are routed here by the coordinator).
-        if round_number == 0:
-            active: List[int] = list(self.members)
-        else:
-            heap = sim._wake_heap
-            if heap and heap[0][0] <= round_number:
-                woken: Set[int] = set()
-                while heap and heap[0][0] <= round_number:
-                    _, node_id = heapq.heappop(heap)
-                    sim._wake_pending[node_id].discard(round_number)
-                    woken.add(node_id)
-                woken.update(receivers)
-                active = sorted(woken)
-            else:
-                active = sorted(receivers)
-        faults = sim.faults
-        if faults is not None and active:
-            alive: List[int] = []
-            for node_id in active:
-                if faults.node_crashed(node_id, round_number):
-                    faults.note_crash_skip(node_id, round_number)
-                    crash_end = faults.crash_end_after(node_id, round_number)
-                    if crash_end is not None:
-                        sim._register_wake(node_id, crash_end)
-                else:
-                    alive.append(node_id)
-            active = alive
-        # 5. Step.
-        done_changes: List[Tuple[int, bool]] = []
-        if active:
-            inboxes: Dict[int, Inbox] = {}
-            for node_id in active:
-                box = deferred[node_id]
-                if box is not None:
-                    inboxes[node_id] = box
-                    deferred[node_id] = None
-            self._step(round_number, inboxes, active, done_changes)
-        # 6. Report.
-        edge_load = self.edge_load
+            kernel.in_flight[receiver].sort(key=by_sender)
+        kernel.deliver(round_number)
+        active = kernel.activate(round_number)
+        done_changes = kernel.step(round_number, active) if active else []
         edges = [
             (key[0], key[1], load[0], load[1])
-            for key, load in edge_load.items()
+            for key, load in kernel.close_round(round_number).items()
         ]
-        if edge_load:
-            if sim.frame_audit:
-                sim._audit_frames(round_number, edge_load, self.edge_frames)
-                self.edge_frames.clear()
-            edge_load.clear()
         outbox = {}
-        fresh_next = bool(self.in_flight)
-        for dst, records in self._outbox.items():
+        for dst, records in kernel.outbox.items():
             word, bits, opaque = encode_shard_frame(
                 records, round_number, sim.wire
             )
@@ -295,14 +199,15 @@ class _ShardWorker:
                     if min_due is None or due < min_due:
                         min_due = due
             outbox[dst] = (word, bits, opaque, has_fresh, n_future, min_due)
-        self._outbox = {}
+        kernel.outbox = {}
+        faults = sim.faults
         report: Dict[str, Any] = {
             "edges": edges,
             "done_changes": done_changes,
-            "min_wake": sim._wake_heap[0][0] if sim._wake_heap else None,
-            "future_len": len(self.future),
-            "min_future": self.future[0][0] if self.future else None,
-            "fresh_next": fresh_next,
+            "min_wake": kernel.wake_heap[0][0] if kernel.wake_heap else None,
+            "future_len": len(kernel.future),
+            "min_future": kernel.future[0][0] if kernel.future else None,
+            "fresh_next": bool(kernel.in_flight),
             "last_progress": (
                 faults.last_progress_round if faults is not None else 0
             ),
@@ -319,90 +224,6 @@ class _ShardWorker:
             # and let the worker exit.
             report["shard_dead"] = self._death_payload()
         return report
-
-    # ------------------------------------------------------------------
-    def _step(self, round_number, inboxes, node_ids, done_changes) -> None:
-        """One round over ``node_ids`` — Simulator._step adapted to route
-        remote sends into the outbox instead of local in-flight lists."""
-        sim = self.sim
-        edge_load = self.edge_load
-        edge_load_get = edge_load.get
-        wire = sim.wire
-        budget = sim.bit_budget if sim.strict else None
-        frames = self.edge_frames if sim.frame_audit else None
-        nodes = sim.nodes
-        faults = sim.faults
-        in_flight = self.in_flight
-        in_flight_get = in_flight.get
-        inboxes_get = inboxes.get
-        assignment = self.assignment
-        my_shard = self.shard_id
-        outbox = self._outbox
-        empty_inbox: Inbox = []
-        for node_id in node_ids:
-            node = nodes[node_id]
-            was_done = node.done
-            ctx = RoundContext(node_id, round_number, node.neighbors)
-            if round_number == 0:
-                node.on_start(ctx)
-            node.on_round(ctx, inboxes_get(node_id, empty_inbox))
-            for target, message in ctx.drain():
-                bits = message.bit_size(wire)
-                key = (node_id, target)
-                load = edge_load_get(key)
-                if load is None:
-                    edge_load[key] = [1, bits]
-                    total = bits
-                else:
-                    load[0] += 1
-                    total = load[1] = load[1] + bits
-                if budget is not None and total > budget:
-                    raise CongestViolationError(
-                        round_number, node_id, target, total, budget
-                    )
-                if frames is not None:
-                    frame = frames.get(key)
-                    if frame is None:
-                        frames[key] = [message]
-                    else:
-                        frame.append(message)
-                remote = assignment[target] != my_shard
-                if remote:
-                    self.cross_messages += 1
-                    self.cross_bits += bits
-                if faults is None:
-                    outcomes = ((round_number + 1, message),)
-                else:
-                    outcomes = faults.deliveries(
-                        round_number, node_id, target, message
-                    )
-                for due, delivered in outcomes:
-                    if remote:
-                        dst = assignment[target]
-                        records = outbox.get(dst)
-                        entry = (node_id, target, due, delivered)
-                        if records is None:
-                            outbox[dst] = [entry]
-                        else:
-                            records.append(entry)
-                    elif due == round_number + 1:
-                        bucket = in_flight_get(target)
-                        if bucket is None:
-                            in_flight[target] = [(node_id, delivered)]
-                        else:
-                            bucket.append((node_id, delivered))
-                    else:
-                        self._fseq += 1
-                        heapq.heappush(
-                            self.future,
-                            (due, round_number, node_id, self._fseq,
-                             target, delivered),
-                        )
-            if ctx._wakes is not None:
-                for wake_round in ctx.drain_wakes():
-                    sim._register_wake(node_id, wake_round)
-            if node.done != was_done:
-                done_changes.append((node_id, node.done))
 
     # ------------------------------------------------------------------
     # run-end extraction
@@ -431,8 +252,8 @@ class _ShardWorker:
                 ledgers.append(ledger)
         return {
             "faults": self._fault_payload(),
-            "cross_messages": self.cross_messages,
-            "cross_bits": self.cross_bits,
+            "cross_messages": self.kernel.cross_messages,
+            "cross_bits": self.kernel.cross_bits,
             "ledger_words": ledger_storage_totals(ledgers)["words"],
         }
 
@@ -511,7 +332,7 @@ class _ShardWorker:
             })
         payload = self._common_reply()
         payload["nodes"] = nodes
-        payload["residue"] = sorted(sim._wake_heap)
+        payload["residue"] = sorted(self.kernel.wake_heap)
         return payload
 
     # ------------------------------------------------------------------
@@ -564,22 +385,7 @@ class _ShardWorker:
                 "shard": self.shard_id,
                 "nodes": {v: sim.nodes[v] for v in self.members},
                 "telemetry_nodes": telemetry_nodes,
-                "in_flight": self.in_flight,
-                "future": list(self.future),
-                "fseq": self._fseq,
-                "cross_messages": self.cross_messages,
-                "cross_bits": self.cross_bits,
-                "deferred": {
-                    v: sim._deferred[v]
-                    for v in self.members
-                    if sim._deferred[v] is not None
-                },
-                "wake_heap": list(sim._wake_heap),
-                "wake_pending": {
-                    v: set(sim._wake_pending[v])
-                    for v in self.members
-                    if sim._wake_pending[v]
-                },
+                **self.kernel.snapshot(),
                 "faults": self._fault_cursor(),
             }
             return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
@@ -590,12 +396,10 @@ class _ShardWorker:
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot_blob` (from the unpickled dict).
 
-        Field *values* are written into the existing shared objects —
-        the simulator's wake/deferred structures are reset wholesale to
-        this shard's snapshot (critical in a re-forked child, which
-        inherits the parent's evolved shard-0 entries), and the fault
-        cursor is written into the inherited injector so shard 0's
-        live counters and a child's copy never mix.
+        The kernel's round state is replaced wholesale by this shard's
+        snapshot, and the fault cursor is written into the inherited
+        injector so shard 0's live counters and a child's copy never
+        mix.
         """
         sim = self.sim
         for v, node in state["nodes"].items():
@@ -604,24 +408,7 @@ class _ShardWorker:
             node = sim.nodes[v]
             obj = node if which == "outer" else _unwrap(node)
             obj.telemetry = sim.telemetry
-        self.in_flight = state["in_flight"]
-        self.future = list(state["future"])
-        self._fseq = state["fseq"]
-        self.cross_messages = state["cross_messages"]
-        self.cross_bits = state["cross_bits"]
-        self.edge_load = {}
-        self.edge_frames = {}
-        self._outbox = {}
-        deferred = sim._deferred
-        for v in range(len(deferred)):
-            deferred[v] = None
-        for v, box in state["deferred"].items():
-            deferred[v] = box
-        sim._wake_heap[:] = state["wake_heap"]
-        for pending in sim._wake_pending:
-            pending.clear()
-        for v, pending in state["wake_pending"].items():
-            sim._wake_pending[v] |= pending
+        self.kernel.restore(state)
         cursor = state["faults"]
         faults = sim.faults
         if faults is not None and cursor is not None:

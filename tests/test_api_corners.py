@@ -1,9 +1,11 @@
 """Coverage for remaining API corners across subsystems."""
 
 import operator
+import pickle
 
 import pytest
 
+from repro import exceptions
 from repro.analysis import ExperimentRunner
 from repro.congest import Tracer
 from repro.core import (
@@ -12,7 +14,7 @@ from repro.core import (
     distributed_closeness,
     distributed_graph_centrality,
 )
-from repro.core.messages import BfsWave, DfsToken
+from repro.wire import BfsWave, DfsToken
 from repro.graphs import (
     WeightedGraph,
     grid_graph,
@@ -130,3 +132,37 @@ class TestConvergecastOperators:
             ),
         )
         assert nodes[0].result == sum(values.values())
+
+
+class TestExceptionPickling:
+    """Every library error survives pickling, which is how a forked shard
+    worker ships its failure to the coordinator."""
+
+    #: Constructor arguments of the errors with structured fields.
+    FIELDS = {
+        "CongestViolationError": (123, 39, 0, 73, 66),
+        "EngineCapabilityError": ("bulk", "numpy is not installed"),
+        "SimulationNotTerminatedError": (1001, 1000, [3, 4], "path"),
+        "SimulationStalledError": (50, 12, [1, 2], [2]),
+        "FrameChecksumError": (0x1F, 0x2E),
+        "CheckpointPause": ("ckpt-00000050", 50),
+        "InvariantViolationError": ("bandwidth", "edge 0 -> 1 over budget"),
+    }
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            obj for obj in vars(exceptions).values()
+            if isinstance(obj, type) and issubclass(obj, exceptions.ReproError)
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_round_trip(self, cls):
+        if "__init__" in vars(cls):
+            error = cls(*self.FIELDS[cls.__name__])
+        else:
+            error = cls("boom")
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is cls
+        assert str(clone) == str(error)
+        assert vars(clone) == vars(error)

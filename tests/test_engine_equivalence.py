@@ -24,6 +24,7 @@ from repro.congest import (
 )
 from repro.core import distributed_betweenness
 from repro.graphs import (
+    Graph,
     balanced_tree,
     connected_erdos_renyi_graph,
     cycle_graph,
@@ -152,6 +153,27 @@ def test_inbox_is_sender_sorted_without_sorting(engine):
         for senders in node.seen:
             assert senders == sorted(senders)
             assert senders == sorted(node.neighbors)
+
+
+def test_empty_graph_terminates_alike():
+    runs = {
+        engine: run_protocol(Graph(0), _InboxRecorder, engine=engine)[1]
+        for engine in ("sweep", "event")
+    }
+    assert runs["event"].summary() == runs["sweep"].summary()
+    assert runs["sweep"].rounds == 1
+
+
+class _NoWakeQueries(_InboxRecorder):
+    def message_wakes(self, sender, message):
+        raise AssertionError("sweep mode consulted message_wakes")
+
+
+def test_sweep_never_consults_message_wakes():
+    graph = connected_erdos_renyi_graph(12, 0.3, seed=4)
+    nodes, stats = run_protocol(graph, _NoWakeQueries, engine="sweep")
+    assert stats.message_count > 0
+    assert all(node.seen for node in nodes)
 
 
 # ----------------------------------------------------------------------

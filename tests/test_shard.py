@@ -11,10 +11,11 @@ series, fault counters, and the stall/partial surfaces all byte-equal.
 import pytest
 
 from repro.core import distributed_betweenness
-from repro.exceptions import EngineCapabilityError
+from repro.exceptions import CongestViolationError, EngineCapabilityError
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import (
     balanced_tree,
+    barabasi_albert_graph,
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
@@ -155,6 +156,38 @@ class TestShardIdentity:
         assert sharded.stats.engine == "shard"
         assert sharded.stats.shard["workers"] == 1
         assert sharded.stats.shard["cross_bits"] == 0
+
+    def test_frame_audit_identical_to_event(self):
+        graph = connected_erdos_renyi_graph(14, 0.25, seed=1)
+        reference = _fingerprint(
+            distributed_betweenness(graph, engine="event", frame_audit=True)
+        )
+        sharded = distributed_betweenness(
+            graph, engine="shard", workers=2, frame_audit=True
+        )
+        assert _fingerprint(sharded) == reference
+
+    def test_worker_budget_violation_matches_event(self):
+        """A strict-budget violation raised inside a forked worker reaches
+        the caller as the event engine's typed error, fields intact."""
+        graph = barabasi_albert_graph(40, 3, seed=1)
+        raised = {}
+        for engine in ("event", "shard"):
+            with pytest.raises(CongestViolationError) as info:
+                distributed_betweenness(
+                    graph, engine=engine, workers=2, congest_factor=11
+                )
+            error = info.value
+            raised[engine] = (
+                error.round_number,
+                error.sender,
+                error.receiver,
+                error.bits_used,
+                error.bits_allowed,
+            )
+        assert raised["shard"] == raised["event"]
+        assignment, _ = partition_nodes(graph, 2, "greedy")
+        assert assignment[raised["shard"][1]] != 0, "raised in a child"
 
     def test_shard_summary_accounts_for_the_cut(self):
         graph = cycle_graph(10)
@@ -333,6 +366,23 @@ class TestShardObservability:
         assert snap["shard.0.nodes"]["value"] + snap["shard.1.nodes"][
             "value"
         ] == 8
+
+    def test_profiler_covers_the_in_process_shard(self):
+        from repro.obs import Telemetry
+
+        graph = connected_erdos_renyi_graph(14, 0.25, seed=1)
+        steps = {}
+        for engine in ("event", "shard"):
+            telemetry = Telemetry(profile=True)
+            distributed_betweenness(
+                graph, engine=engine, workers=2, telemetry=telemetry
+            )
+            profile = telemetry.profiler.summary()
+            assert profile["engine.step"]["calls"] > 0
+            assert profile["engine.deliver"]["calls"] > 0
+            steps[engine] = profile["engine.active_node_steps"]["count"]
+        # Only shard 0 steps in this process; the child's count is lost.
+        assert 0 < steps["shard"] < steps["event"]
 
     def test_history_key_is_worker_invariant(self):
         from repro.obs.history import entry_from_result
