@@ -23,9 +23,10 @@ hard assertions are deliberately conservative while the table and JSON
 report the actual ratios.
 
 A scaling microbenchmark additionally gates the bulk engine's stats
-reduction (:func:`repro.engines.bulk.populate_stats`): quadrupling N at
-a fixed send volume must not materially change its runtime — the
-reduction is O(active edges), never O(N × rounds).
+reduction (:func:`repro.engines.bulk.edge_round_groups` +
+:func:`repro.engines.bulk.populate_stats`): quadrupling N at fixed
+broadcast and unicast volumes must not materially change its runtime —
+the reduction is O(table rows), never O(N × rounds).
 """
 
 import json
@@ -242,41 +243,63 @@ def test_engine_speedup_and_identity(benchmark):
 # ----------------------------------------------------------------------
 # bulk stats-reduction scaling: O(active edges), never O(N x rounds)
 # ----------------------------------------------------------------------
-STATS_SENDS = 200_000
+STATS_BROADCASTS = 50_000
+STATS_UNICASTS = 100_000
+STATS_DEGREE = 4
 
 
-def measure_stats_scaling(sends=STATS_SENDS):
-    """Time ``populate_stats`` at a fixed send volume while N grows 4x.
+def measure_stats_scaling(broadcasts=STATS_BROADCASTS, unicasts=STATS_UNICASTS):
+    """Time the bulk stats reduction at fixed table sizes while N grows 4x.
 
     A per-round accumulator that touched every node (the sweep's shape)
-    would slow down ~4x; the bulk reduction groups the send inventory
-    directly, so its runtime must track the send count alone (plus an
-    O(rounds) tail for the round series, held constant here).
+    would slow down ~4x; the bulk reduction groups the two send tables
+    directly — broadcasts per (round, sender), unicasts per directed
+    edge — so its runtime must track the table sizes alone (plus an
+    O(rounds) tail for the round series, held constant here).  Every
+    node has degree 4, so the broadcasts stand for 4x their row count
+    in sends at both sizes.
     """
     np = pytest.importorskip("numpy")
     from repro.congest.stats import SimulationStats
-    from repro.engines.bulk import populate_stats
+    from repro.engines.bulk import edge_round_groups, populate_stats
 
     rounds = 2_000
     timings = {}
     rng = np.random.default_rng(7)
     for n_nodes in (2_000, 8_000):
-        r = np.sort(rng.integers(0, rounds, size=sends)).astype(np.int64)
-        snd = rng.integers(0, n_nodes, size=sends).astype(np.int64)
-        tgt = (snd + 1 + rng.integers(0, 3, size=sends)) % n_nodes
-        bits = rng.integers(8, 64, size=sends).astype(np.int64)
-        rank = np.arange(sends, dtype=np.int64)
+        # Circulant adjacency: v's neighbors are v +/- 1 and v +/- 2.
+        offsets = np.array([-2, -1, 1, 2], dtype=np.int64)
+        nodes = np.arange(n_nodes, dtype=np.int64)
+        indices = np.sort((nodes[:, None] + offsets) % n_nodes, axis=1).ravel()
+        indptr = np.arange(n_nodes + 1, dtype=np.int64) * STATS_DEGREE
+        bcast = (
+            rng.integers(0, rounds, size=broadcasts),
+            rng.integers(0, n_nodes, size=broadcasts),
+            np.full(broadcasts, 4, dtype=np.int64),
+            rng.integers(8, 64, size=broadcasts),
+        )
+        snd = rng.integers(0, n_nodes, size=unicasts)
+        ucast = (
+            np.sort(rng.integers(0, rounds, size=unicasts)),
+            snd,
+            indices[snd * STATS_DEGREE + rng.integers(0, STATS_DEGREE, size=unicasts)],
+            rng.integers(8, 64, size=unicasts),
+            np.arange(unicasts, dtype=np.int64),
+        )
         best = None
         for _ in range(3):
             stats = SimulationStats()
             start = time.perf_counter()
-            populate_stats(stats, rounds, n_nodes, r, snd, tgt, bits, rank)
+            populate_stats(
+                stats, rounds, edge_round_groups(indptr, indices, bcast, ucast)
+            )
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-            assert stats.message_count == sends
+            assert stats.message_count == STATS_DEGREE * broadcasts + unicasts
         timings[n_nodes] = best
     return {
-        "sends": sends,
+        "broadcasts": broadcasts,
+        "unicasts": unicasts,
         "rounds": rounds,
         "seconds_n_2000": round(timings[2_000], 4),
         "seconds_n_8000": round(timings[8_000], 4),
@@ -289,7 +312,7 @@ def test_bulk_stats_reduction_is_active_edge_bound(benchmark):
     print_table(
         ["metric", "value"],
         [[key, value] for key, value in stats.items()],
-        title="E15c bulk stats-reduction scaling (fixed sends, N x4)",
+        title="E15c bulk stats-reduction scaling (fixed tables, N x4)",
     )
     # 4x the nodes at a fixed send volume: an O(N)-per-round accumulator
     # would show ~4x; allow generous noise headroom around flat.

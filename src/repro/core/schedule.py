@@ -326,6 +326,24 @@ def dfs_token_schedule(
             v, t, slot = p, t + 1, slot_back
 
 
+def run_end_round(last_done: int, token_sends) -> int:
+    """The round a run ends (its ``stats.rounds``).
+
+    ``last_done`` is the round the last node finished.  Engines stop at
+    the first later round that delivers nothing, and by then only the
+    DFS token can still be moving: with few sources its walk outlives
+    the protocol.  A backtrack hop is forwarded the round it arrives,
+    keeping the network busy, but a first visit pauses one round — a
+    silent round in which the run ends, so the scheduled forward is
+    never sent.
+    """
+    sent = {send[0] for send in token_sends}
+    end = last_done + 1
+    while end - 1 in sent:
+        end += 1
+    return end
+
+
 #: Protocol phases in execution order, paired with the schedule
 #: attribute holding each phase's start round.
 PHASE_ORDER = (
@@ -418,7 +436,7 @@ def expected_phase_schedule(
     n = graph.num_nodes
     depth, parent, children = tree_schedule(graph, root)
     census_send, r_census, _size = census_schedule(depth, children, root)
-    first_visit, _token_sends, _dfs_complete = dfs_token_schedule(
+    first_visit, token_sends, _dfs_complete = dfs_token_schedule(
         children, parent, root, r_census
     )
     src_list = sorted(sources) if sources is not None else list(range(n))
@@ -472,11 +490,12 @@ def expected_phase_schedule(
     diameter = max(ecc)
     base = r_result + diameter + 1
     if aggregate:
-        total_rounds = base + t_max + diameter + 2
+        last_done = base + t_max + diameter + 1
     else:
         # Counting-only runs (distributed APSP) halt when the AggStart
         # broadcast reaches the deepest leaves.
-        total_rounds = r_result + max(depth) + 1
+        last_done = r_result + max(depth)
+    total_rounds = run_end_round(last_done, token_sends)
     return PhaseSchedule(
         num_nodes=n,
         root=root,

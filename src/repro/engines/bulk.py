@@ -15,9 +15,11 @@ never steps node objects.  It
    with :mod:`repro.engines.lfmath` carrying the L-float mantissa and
    exponent in int64 arrays, bit-identical to the scalar arithmetic the
    other engines run,
-3. materializes the complete send inventory (round, sender, target,
-   bits, drain rank) and reduces it into :class:`SimulationStats`
-   entirely with array ops, and
+3. lays every send out in two tables — one row per broadcast (a
+   TreeWave, or a settled (source, node) pair's BfsWave, standing for
+   one send to each neighbor) and one row per addressed unicast — and
+   reduces them into :class:`SimulationStats` per edge-round group
+   with array ops, sorting only the unicasts, and
 4. back-fills the node objects (tree / counting / aggregation state and
    lazily-materialized ledgers) so every public observable — results,
    stats, per-node state — is indistinguishable from a ``sweep`` run.
@@ -31,9 +33,9 @@ cross-checks the charged totals, failing with the same
 audit raises.  When a run needs per-send observability (a tracer, the full
 frame audit, telemetry send/round monitors) or ends exceptionally
 (strict-mode violation, round-limit overrun), the engine *replays* the
-precomputed send inventory through the exact billing sequence of the
-round kernel's ``RoundKernel.step`` — same drain order, same message
-objects, same partial state at the point of raise.
+send tables, expanded to one row per send, through the exact billing
+sequence of the round kernel's ``RoundKernel.step`` — same drain order,
+same message objects, same partial state at the point of raise.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.core.records import NodeLedger
 from repro.core.schedule import (
     census_schedule,
     dfs_token_schedule,
+    run_end_round,
     tree_schedule,
 )
 from repro.engines import lfmath
@@ -69,10 +72,11 @@ from repro.wire import (
     TreeJoin,
     TreeWave,
 )
+from repro.wire.bits import uint_bits
 from repro.wire.codec import encode_frame
 from repro.wire.format import TYPE_TAG_BITS
 
-__all__ = ["run_bulk", "populate_stats"]
+__all__ = ["run_bulk", "edge_round_groups", "populate_stats"]
 
 # ---------------------------------------------------------------------------
 # Drain-order slots.
@@ -98,17 +102,14 @@ _SLOT_AGGSTART_FWD = 9  # AggregationPhase.handle_start forward
 _SLOT_AGGVALUE = 10  # AggregationPhase.on_round scheduled send
 _SLOT_STRIDE = 16
 
-# Message kinds in the send inventory (column ``kind``); ``aux`` carries
-# the kind-specific payload handle (a scalar, or a packed pair index).
-_K_TREE_WAVE = 0
-_K_TREE_JOIN = 1
-_K_COUNT = 2
-_K_ANNOUNCE = 3
-_K_TOKEN = 4
-_K_WAVE = 5
-_K_DONE = 6
-_K_AGGSTART = 7
-_K_AGGVALUE = 8
+# Message kinds of the control unicasts (``_Sends.py_kind``); ``aux``
+# carries the kind-specific payload (a scalar).
+_K_TREE_JOIN = 0
+_K_COUNT = 1
+_K_ANNOUNCE = 2
+_K_TOKEN = 3
+_K_DONE = 4
+_K_AGGSTART = 5
 
 #: Edge-round frames cross-checked against the exact codec per fast run.
 _AUDIT_SAMPLES = 64
@@ -209,10 +210,11 @@ class _Plan:
     """Everything :func:`run_bulk` derives before touching the stats."""
 
     __slots__ = (
-        "N", "root", "L", "aggregate",
+        "N", "root", "L", "aggregate", "indptr", "indices", "deg",
         "depth", "parent", "children", "depth_max",
         "census_send", "r_census", "subtree_size",
-        "first_visit", "dfs_complete",
+        "first_visit", "token_sends", "visited", "next_child",
+        "dfs_complete",
         "src", "s_idx_of", "T",
         "dist_flat", "sig_m", "sig_e", "psi_m", "psi_e", "val_m", "val_e",
         "pred_indptr", "pred_rows", "pair_rows",
@@ -220,9 +222,6 @@ class _Plan:
         "diameter", "t_max", "base", "horizon",
         "rounds", "done_round",
         "bet_m", "bet_e",
-        "r_col", "snd_col", "tgt_col", "bits_col", "rank",
-        "block_sizes", "py_rows", "deg", "kind_col", "aux_col",
-        "violation",
     )
 
 
@@ -440,49 +439,79 @@ def _betweenness_fold(plan: _Plan):
 
 
 # ---------------------------------------------------------------------------
-# send inventory
+# send tables
 # ---------------------------------------------------------------------------
-def _send_inventory(plan: _Plan, sim, indptr, indices, deg, token_sends):
-    """Materialize every send as parallel (round, sender, target, ...) columns.
+def _widths(wire, n_nodes: int, L: int) -> Dict[str, int]:
+    """Billed bits of each fixed-width message kind.
 
-    Tree/census/token/report traffic is O(N + E) and assembled in
-    Python; the BFS-wave broadcasts (S * 2E rows) and the aggregation
-    values (the predecessor rows) are assembled as array ops.
+    The census :class:`SubtreeCount` is the only varint-sized message;
+    its width is computed per value when the rows are built.
+    """
+    tag = TYPE_TAG_BITS
+    lfloat = 2 * L + 1
+    return {
+        "tree_wave": tag + wire.distance_bits,
+        "tree_join": tag,
+        "announce": tag + uint_bits(n_nodes),
+        "token": tag + 1,
+        "bfs_wave": (
+            tag + wire.id_bits + wire.round_bits + wire.distance_bits + lfloat
+        ),
+        "done": tag + wire.distance_bits,
+        "agg_start": tag + wire.distance_bits + 2 * wire.round_bits,
+        "agg_value": tag + wire.id_bits + lfloat,
+    }
+
+
+class _Sends:
+    """Every send of the run, as two tables.
+
+    ``broadcasts`` = (round, sender, slot, bits) holds one row per
+    :class:`TreeWave` (row ``v`` is node v's) and one per settled
+    (source, node) pair (row ``N + p`` is pair p's :class:`BfsWave`);
+    each row stands for one send to every neighbor of its sender, in
+    ascending neighbor order.  ``unicasts`` = (round, sender, target,
+    bits, drain rank) holds one row per addressed send: the control
+    rows (tree, census, token and report traffic, whose (kind, aux)
+    message handles are kept in ``py_kind`` / ``py_aux``) and then one
+    :class:`AggValue` row per predecessor link, in ``plan.pair_rows``
+    order.
+    """
+
+    __slots__ = ("broadcasts", "unicasts", "py_kind", "py_aux")
+
+    def total(self, deg) -> int:
+        """The number of billed sends the tables stand for."""
+        return int(deg[self.broadcasts[1]].sum()) + self.unicasts[0].size
+
+
+def _send_tables(plan: _Plan, wire) -> _Sends:
+    """Build both send tables straight from the plan.
+
+    The control traffic is O(N) and assembled in Python; the BfsWave
+    rows (S * N) and the AggValue rows (one per predecessor link) are
+    array ops.
     """
     N = plan.N
-    wire = sim.wire
-    L = plan.L
+    width = _widths(wire, N, plan.L)
     tag = TYPE_TAG_BITS
-    from repro.wire.bits import uint_bits
-
-    tw_bits = tag + wire.distance_bits
-    tj_bits = tag
-    an_bits = tag + uint_bits(N)
-    tk_bits = tag + 1
-    bw_bits = tag + wire.id_bits + wire.round_bits + wire.distance_bits + (
-        2 * L + 1
-    )
-    dr_bits = tag + wire.distance_bits
-    as_bits = tag + wire.distance_bits + 2 * wire.round_bits
-    av_bits = tag + wire.id_bits + (2 * L + 1)
 
     rows: List[Tuple[int, int, int, int, int, int, int, int]] = []
     depth = plan.depth
-    children = plan.children
     parent = plan.parent
     root = plan.root
     r_census = plan.r_census
     for v in range(N):
         dv = depth[v]
         if v != root:
-            rows.append((dv, v, parent[v], tj_bits, _SLOT_TREE_JOIN, 0,
-                         _K_TREE_JOIN, 0))
+            rows.append((dv, v, parent[v], width["tree_join"],
+                         _SLOT_TREE_JOIN, 0, _K_TREE_JOIN, 0))
             rows.append((plan.census_send[v], v, parent[v],
                          tag + uint_bits(plan.subtree_size[v]), _SLOT_CENSUS,
                          0, _K_COUNT, plan.subtree_size[v]))
-            rows.append((plan.done_send[v], v, parent[v], dr_bits,
+            rows.append((plan.done_send[v], v, parent[v], width["done"],
                          _SLOT_REPORT, 0, _K_DONE, plan.subtree_ecc[v]))
-        ch = children[v]
+        ch = plan.children[v]
         if ch:
             if v == root:
                 ann_round, ann_slot = r_census, _SLOT_CENSUS
@@ -491,299 +520,341 @@ def _send_inventory(plan: _Plan, sim, indptr, indices, deg, token_sends):
                 ann_round, ann_slot = r_census + dv, _SLOT_ANNOUNCE_FWD
                 agg_round, agg_slot = plan.r_result + dv, _SLOT_AGGSTART_FWD
             for i, c in enumerate(ch):
-                rows.append((ann_round, v, c, an_bits, ann_slot, i,
+                rows.append((ann_round, v, c, width["announce"], ann_slot, i,
                              _K_ANNOUNCE, N))
-                rows.append((agg_round, v, c, as_bits, agg_slot, i,
-                             _K_AGGSTART, 0))
-    for t, snd, tgt, returning, slot in token_sends:
-        rows.append((t, snd, tgt, tk_bits, slot, 0, _K_TOKEN, returning))
-
+                rows.append((agg_round, v, c, width["agg_start"], agg_slot,
+                             i, _K_AGGSTART, 0))
+    for t, snd, tgt, returning, slot in plan.token_sends:
+        rows.append((t, snd, tgt, width["token"], slot, 0, _K_TOKEN,
+                     returning))
     py = np.array(rows, dtype=np.int64)
-    py_rank = (
-        (py[:, 0] * N + py[:, 1]) * _SLOT_STRIDE + py[:, 4]
-    ) * N + py[:, 5]
-
-    # Only the five columns the stats reduction consumes are built
-    # eagerly; slot/seq fold into the drain rank per block and the
-    # replay/audit metadata (kind, aux) is reconstructed on demand by
-    # _materialize_meta — the metadata columns would double the memory
-    # traffic of the fast path for nothing.
-    r_parts = [py[:, 0]]
-    snd_parts = [py[:, 1]]
-    tgt_parts = [py[:, 2]]
-    bits_parts = [py[:, 3]]
-    rank_parts = [py_rank]
-
-    def _rank(r, snd, slot, seq):
-        out = r * N
-        out += snd
-        out *= _SLOT_STRIDE
-        out += slot
-        out *= N
-        out += seq
-        return out
-
-    # TreeWave broadcasts: every node, at its settle round, to every
-    # neighbor.
-    depth_arr = np.asarray(depth, dtype=np.int64)
-    seq_base = np.arange(indices.size, dtype=np.int64) - np.repeat(
-        indptr[:-1], deg
-    )
-    tw_snd = np.repeat(np.arange(N, dtype=np.int64), deg)
-    r_parts.append(np.repeat(depth_arr, deg))
-    snd_parts.append(tw_snd)
-    tgt_parts.append(indices)
-    bits_parts.append(np.full(indices.size, tw_bits, dtype=np.int64))
-    rank_parts.append(
-        _rank(r_parts[-1], tw_snd, np.int64(_SLOT_TREE_WAVE), seq_base)
-    )
-
-    # BfsWave broadcasts: every settled pair re-broadcasts once (own
-    # launches use the later slot).
-    S = len(plan.src)
-    bc_round = np.repeat(plan.T, N) + plan.dist_flat
-    slot_pair = np.where(
-        plan.dist_flat == 0, np.int64(_SLOT_WAVE_OWN), np.int64(_SLOT_WAVE_SETTLE)
-    )
-    deg_t = np.tile(deg, S)
-    bw_r = np.repeat(bc_round, deg_t)
-    bw_snd = np.tile(tw_snd, S)
-    r_parts.append(bw_r)
-    snd_parts.append(bw_snd)
-    tgt_parts.append(np.tile(indices, S))
-    bits_parts.append(np.full(bw_r.size, bw_bits, dtype=np.int64))
-    rank_parts.append(
-        _rank(bw_r, bw_snd, np.repeat(slot_pair, deg_t), np.tile(seq_base, S))
-    )
+    u_parts = [
+        py[:, 0], py[:, 1], py[:, 2], py[:, 3],
+        _drain_rank(N, py[:, 0], py[:, 1], py[:, 4], py[:, 5]),
+    ]
 
     # AggValue sends: pair (s, v) to each predecessor, at
     # base + T_s + D - d(s, v), in sorted-predecessor order.
     if plan.aggregate and plan.pred_rows.size:
-        pair_rows, pred_rows = plan.pair_rows, plan.pred_rows
+        pair_rows = plan.pair_rows
         send_round = (
-            plan.base
-            + np.repeat(plan.T, N)
-            + plan.diameter
-            - plan.dist_flat
+            plan.base + plan.diameter + np.repeat(plan.T, N) - plan.dist_flat
         )
         counts = np.diff(plan.pred_indptr)
-        seq = np.arange(pred_rows.size, dtype=np.int64) - np.repeat(
+        seq = np.arange(pair_rows.size, dtype=np.int64) - np.repeat(
             plan.pred_indptr[:-1], counts
         )
         av_r = send_round[pair_rows]
         av_snd = pair_rows % N
-        r_parts.append(av_r)
-        snd_parts.append(av_snd)
-        tgt_parts.append(pred_rows)
-        bits_parts.append(np.full(av_r.size, av_bits, dtype=np.int64))
-        rank_parts.append(
-            _rank(av_r, av_snd, np.int64(_SLOT_AGGVALUE), seq)
+        av = (
+            av_r, av_snd, plan.pred_rows,
+            np.full(av_r.size, width["agg_value"], dtype=np.int64),
+            _drain_rank(N, av_r, av_snd, _SLOT_AGGVALUE, seq),
         )
+        u_parts = [np.concatenate(pair) for pair in zip(u_parts, av)]
 
-    plan.r_col = np.concatenate(r_parts)
-    plan.snd_col = np.concatenate(snd_parts)
-    plan.tgt_col = np.concatenate(tgt_parts)
-    plan.bits_col = np.concatenate(bits_parts)
-    plan.rank = np.concatenate(rank_parts)
-    plan.block_sizes = tuple(part.size for part in r_parts)
-    plan.py_rows = py
-    plan.deg = deg
-    plan.kind_col = None
-    plan.aux_col = None
-
-
-def _materialize_meta(plan: _Plan) -> None:
-    """Build the (kind, aux) metadata columns for replay / frame audits.
-
-    Deferred from :func:`_send_inventory`: the fast path never touches
-    them.  Block order mirrors the inventory concatenation exactly —
-    Python rows, TreeWave, BfsWave, then AggValue.
-    """
-    if plan.kind_col is not None:
-        return
-    sizes = plan.block_sizes
-    py = plan.py_rows
-    deg = plan.deg
-    N = plan.N
+    # Broadcasts: every node's TreeWave at its settle round, then every
+    # settled pair's BfsWave (own launches use the later slot).
     S = len(plan.src)
-    depth_arr = np.asarray(plan.depth, dtype=np.int64)
-    kind_parts = [py[:, 6]]
-    aux_parts = [py[:, 7]]
-    kind_parts.append(np.full(sizes[1], _K_TREE_WAVE, dtype=np.int64))
-    aux_parts.append(np.repeat(depth_arr, deg))
-    kind_parts.append(np.full(sizes[2], _K_WAVE, dtype=np.int64))
-    aux_parts.append(np.repeat(np.arange(S * N, dtype=np.int64), np.tile(deg, S)))
-    if len(sizes) > 3:
-        kind_parts.append(np.full(sizes[3], _K_AGGVALUE, dtype=np.int64))
-        aux_parts.append(plan.pair_rows)
-    plan.kind_col = np.concatenate(kind_parts)
-    plan.aux_col = np.concatenate(aux_parts)
+    nodes = np.arange(N, dtype=np.int64)
+    sends = _Sends()
+    sends.broadcasts = (
+        np.concatenate((
+            np.asarray(depth, dtype=np.int64),
+            np.repeat(plan.T, N) + plan.dist_flat,
+        )),
+        np.tile(nodes, S + 1),
+        np.concatenate((
+            np.full(N, _SLOT_TREE_WAVE, dtype=np.int64),
+            np.where(plan.dist_flat == 0, _SLOT_WAVE_OWN, _SLOT_WAVE_SETTLE),
+        )),
+        np.concatenate((
+            np.full(N, width["tree_wave"], dtype=np.int64),
+            np.full(S * N, width["bfs_wave"], dtype=np.int64),
+        )),
+    )
+    sends.unicasts = tuple(u_parts)
+    sends.py_kind = py[:, 6]
+    sends.py_aux = py[:, 7]
+    return sends
+
+
+def _drain_rank(n_nodes, r, snd, slot, seq):
+    """Global drain-order key of a send: the tuple (round, sender, slot, seq)."""
+    return ((r * n_nodes + snd) * _SLOT_STRIDE + slot) * n_nodes + seq
+
 
 # ---------------------------------------------------------------------------
 # stats assembly (the fast path)
 # ---------------------------------------------------------------------------
-def _group_sends(n_nodes, r, snd, tgt, bits, rank):
-    """Sort sends into (round, edge) groups, rank-ordered within a group.
+def _neighbor_seq(indptr, indices, v, u):
+    """u's index in v's ascending adjacency list, elementwise."""
+    n = indptr.size - 1
+    edge_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    edge_key *= n
+    edge_key += indices
+    return np.searchsorted(edge_key, v * n + u) - indptr[v]
 
-    Returns ``(order, first, counts, group_keys, group_bits)``: the
-    permutation, the per-group start offsets into it, group sizes, the
-    packed ``(round * N + sender) * N + target`` group keys, and each
-    group's total bits.  Computed once and shared by the stats
-    reduction, the strict-mode violation scan and the sampling audit —
-    the sort is the fast path's dominant cost.
-    """
-    key = (r * n_nodes + snd) * n_nodes + tgt
-    order = np.lexsort((rank, key))
-    ks = key[order]
-    first = np.concatenate(
-        ([0], np.flatnonzero(ks[1:] != ks[:-1]) + 1)
+
+def _runs(sorted_keys):
+    """Start offsets and lengths of the equal-key runs of a sorted array."""
+    first = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
     )
-    counts = np.diff(np.concatenate((first, [ks.size])))
-    group_bits = np.add.reduceat(bits[order], first)
-    return order, first, counts, ks[first], group_bits
+    return first, np.diff(np.append(first, sorted_keys.size))
 
 
-def populate_stats(stats, rounds, n_nodes, r, snd, tgt, bits, rank,
-                   grouping=None):
-    """Reduce a send inventory into ``stats`` with array ops.
+class _Groups:
+    """The run's traffic per edge-round group, built without per-send rows.
 
-    Work is O(sends log sends) — per-round cost scales with the *active*
-    edges of that round, never with N (the bench suite gates this with a
-    scaling microbenchmark).  Reproduces ``observe_round`` exactly:
-
-    * ``worst_edge`` is the first edge-round group, scanning rounds in
-      order and groups in first-send order within a round, to reach the
-      global per-edge bit maximum — i.e. the minimum first-send drain
-      rank among the groups achieving the maximum;
-    * the cut tracker (if armed) sees per-round crossing totals keyed in
-      ascending round order, exactly as the scan inserts them.
-
-    Returns the per-group arrays ``(order, first, counts, group_bits,
-    round, sender, target)`` of the (round, sender, target) grouping for
-    reuse by the sampling audit.
+    An *edge-round group* is everything directed edge v -> u carries in
+    round r: the broadcasts at (r, v) plus the unicasts at (r, v, u).
+    Broadcast groups (``bg_*``, keyed ``r * N + v``) and unicast groups
+    (``ug_*``, keyed ``(r * N + v) * N + u``) are reduced separately;
+    ``ug_shared`` links a unicast group to the broadcast group on its
+    (round, sender), or holds -1.  ``max_bits`` / ``max_messages`` /
+    ``worst`` are the run's per-edge maxima and the worst edge.
     """
-    if grouping is None:
-        grouping = _group_sends(n_nodes, r, snd, tgt, bits, rank)
-    order, first, counts, uniq, group_bits = grouping
-    g_round = uniq // (n_nodes * n_nodes)
-    g_snd = (uniq // n_nodes) % n_nodes
-    g_tgt = uniq % n_nodes
 
-    stats.message_count += int(r.size)
-    stats.bit_count += int(bits.sum())
-    msgs_pr = np.bincount(r, minlength=rounds)
-    bits_pr = np.bincount(r, weights=bits, minlength=rounds).astype(np.int64)
+    __slots__ = (
+        "n", "indptr", "indices", "deg", "broadcasts", "unicasts",
+        "b_order", "b_first", "bg_key", "bg_bits", "bg_count", "bg_slot",
+        "u_order", "u_first", "ug_key", "ug_bits", "ug_count", "ug_shared",
+        "max_bits", "max_messages", "worst",
+    )
+
+    def frame(self, r: int, v: int, u: int):
+        """Group (r, v -> u): its rows in drain order and its billed bits.
+
+        Rows are ``(rank, is_unicast, table row)`` tuples.
+        """
+        n = self.n
+        rows: List[Tuple[int, bool, int]] = []
+        charged = 0
+        key = r * n + v
+        g = int(np.searchsorted(self.bg_key, key))
+        if g < self.bg_key.size and self.bg_key[g] == key:
+            lo, hi = self.indptr[v], self.indptr[v + 1]
+            seq = int(np.searchsorted(self.indices[lo:hi], u))
+            slot = self.broadcasts[2]
+            for row in self.b_order[
+                self.b_first[g]: self.b_first[g] + self.bg_count[g]
+            ].tolist():
+                rank = _drain_rank(n, r, v, int(slot[row]), seq)
+                rows.append((rank, False, row))
+            charged += int(self.bg_bits[g])
+        key = key * n + u
+        h = int(np.searchsorted(self.ug_key, key))
+        if h < self.ug_key.size and self.ug_key[h] == key:
+            rank = self.unicasts[4]
+            for row in self.u_order[
+                self.u_first[h]: self.u_first[h] + self.ug_count[h]
+            ].tolist():
+                rows.append((int(rank[row]), True, row))
+            charged += int(self.ug_bits[h])
+        rows.sort()
+        return rows, charged
+
+
+def edge_round_groups(indptr, indices, broadcasts, unicasts) -> _Groups:
+    """Reduce the two send tables into edge-round groups.
+
+    ``broadcasts`` = (round, sender, slot, bits) rows each stand for one
+    send to every neighbor of the sender (CSR ``indptr`` / ``indices``,
+    neighbors ascending); ``unicasts`` = (round, sender, target, bits,
+    drain rank).  Only the unicasts are sorted per edge: the cost is
+    O(unicasts * log unicasts + broadcasts * log broadcasts), whatever
+    the degrees.
+
+    The maxima reproduce ``observe_round`` exactly.  Bits are positive,
+    so a broadcast group at the maximum shares its (round, sender) with
+    no unicast — all its edges tie, and the scan meets v's first
+    neighbor first.  Otherwise a group's first-send rank is the smaller
+    of its first unicast's rank and its broadcasts' rank on that edge,
+    and ``worst`` is the group at the maximum with the least of them.
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    b_r, b_v, b_slot, b_bits = broadcasts
+    u_r, u_v, u_t, u_bits, u_rank = unicasts
+    gr = _Groups()
+    gr.n = n
+    gr.indptr = indptr
+    gr.indices = indices
+    gr.deg = deg
+    gr.broadcasts = broadcasts
+    gr.unicasts = unicasts
+
+    key = b_r * n + b_v
+    gr.b_order = np.argsort(key)
+    key = key[gr.b_order]
+    gr.b_first, gr.bg_count = _runs(key)
+    gr.bg_key = key[gr.b_first]
+    gr.bg_bits = np.add.reduceat(b_bits[gr.b_order], gr.b_first)
+    gr.bg_slot = np.minimum.reduceat(b_slot[gr.b_order], gr.b_first)
+
+    key = (u_r * n + u_v) * n + u_t
+    gr.u_order = np.argsort(key)
+    key = key[gr.u_order]
+    gr.u_first, gr.ug_count = _runs(key)
+    gr.ug_key = key[gr.u_first]
+    gr.ug_bits = np.add.reduceat(u_bits[gr.u_order], gr.u_first)
+    ug_rank = np.minimum.reduceat(u_rank[gr.u_order], gr.u_first)
+
+    # Join each unicast group to the broadcast group on its (r, v): the
+    # edge-round group's totals and first-send rank.  Both key arrays
+    # are sorted, so only the unicast groups up to the last broadcast's
+    # (r, v) can meet one — the aggregation traffic never does.
+    rv = gr.ug_key // n
+    reach = np.searchsorted(rv, gr.bg_key[-1], side="right")
+    at = np.minimum(
+        np.searchsorted(gr.bg_key, rv[:reach]), gr.bg_key.size - 1
+    )
+    shared = np.flatnonzero(gr.bg_key[at] == rv[:reach])
+    at = at[shared]
+    gr.ug_shared = np.full(rv.size, -1, dtype=np.int64)
+    gr.ug_shared[shared] = at
+    bits = gr.ug_bits.copy()
+    bits[shared] += gr.bg_bits[at]
+    count = gr.ug_count.copy()
+    count[shared] += gr.bg_count[at]
+    r, v = np.divmod(rv[shared], n)
+    ug_rank[shared] = np.minimum(
+        ug_rank[shared],
+        _drain_rank(
+            n, r, v, gr.bg_slot[at],
+            _neighbor_seq(indptr, indices, v, gr.ug_key[shared] % n),
+        ),
+    )
+
+    gr.max_bits = max(int(bits.max()), int(gr.bg_bits.max()))
+    gr.max_messages = max(int(count.max()), int(gr.bg_count.max()))
+    best = None
+    at_max = np.flatnonzero(bits == gr.max_bits)
+    if at_max.size:
+        h = at_max[np.argmin(ug_rank[at_max])]
+        key = int(gr.ug_key[h])
+        best = (int(ug_rank[h]), (key // (n * n), (key // n) % n, key % n))
+    at_max = np.flatnonzero(gr.bg_bits == gr.max_bits)
+    if at_max.size:
+        # bg_key is sorted, so the first candidate has the least rank.
+        g = at_max[0]
+        key = int(gr.bg_key[g])
+        v = key % n
+        rank = _drain_rank(n, key // n, v, int(gr.bg_slot[g]), 0)
+        if best is None or rank < best[0]:
+            best = (rank, (key // n, v, int(indices[indptr[v]])))
+    gr.worst = best[1]
+    return gr
+
+
+def populate_stats(stats, rounds: int, groups: _Groups) -> None:
+    """Fold edge-round groups into ``stats``, as ``observe_round`` would.
+
+    Totals and the per-round series are ``bincount``s over the two
+    tables, broadcasts weighted by their sender's degree, so the cost
+    tracks the table sizes, never N * rounds.  The cut tracker (if
+    armed) counts crossing *groups* as messages and sums their bits,
+    with per-round totals keyed in ascending round order, exactly as
+    the scan inserts them.
+    """
+    n = groups.n
+    deg = groups.deg
+    b_r, b_v, _b_slot, b_bits = groups.broadcasts
+    u_r, u_v, u_t, u_bits, _u_rank = groups.unicasts
+    fan = deg[b_v]
+    stats.message_count += int(fan.sum()) + int(u_r.size)
+    stats.bit_count += int((b_bits * fan).sum()) + int(u_bits.sum())
+    msgs_pr = np.bincount(b_r, weights=fan, minlength=rounds) + np.bincount(
+        u_r, minlength=rounds
+    )
+    bits_pr = np.bincount(
+        b_r, weights=b_bits * fan, minlength=rounds
+    ) + np.bincount(u_r, weights=u_bits, minlength=rounds)
     stats.round_series.extend(
-        zip(msgs_pr.tolist(), bits_pr.tolist())
+        zip(msgs_pr.astype(np.int64).tolist(), bits_pr.astype(np.int64).tolist())
     )
-    max_bits = int(group_bits.max())
-    stats.max_edge_bits_per_round = max_bits
-    stats.max_edge_messages_per_round = int(counts.max())
-    at_max = group_bits == max_bits
-    first_rank = rank[order][first]
-    winner = np.flatnonzero(at_max)[np.argmin(first_rank[at_max])]
-    stats.worst_edge = (
-        int(g_round[winner]), int(g_snd[winner]), int(g_tgt[winner])
-    )
+    stats.max_edge_bits_per_round = groups.max_bits
+    stats.max_edge_messages_per_round = groups.max_messages
+    stats.worst_edge = groups.worst
     cut = stats.cut
     if cut is not None:
-        # CutTracker.observe runs once per (round, edge) accounting
-        # group, so ``messages`` counts crossing *groups* (matching the
-        # batched sweep semantics), while ``bits`` sums their loads.
-        left = np.zeros(n_nodes, dtype=bool)
+        left = np.zeros(n, dtype=bool)
         left[list(cut.left)] = True
-        crossing = left[g_snd] != left[g_tgt]
-        cut.messages += int(crossing.sum())
-        cbits = group_bits[crossing]
-        cut.bits += int(cbits.sum())
-        per_round = np.bincount(
-            g_round[crossing], weights=cbits, minlength=rounds
+        owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+        cross_deg = np.bincount(
+            owner[left[owner] != left[groups.indices]], minlength=n
         )
-        for rr in np.flatnonzero(per_round):
-            cut.bits_per_round[int(rr)] = (
-                cut.bits_per_round.get(int(rr), 0) + int(per_round[rr])
+        # A broadcast puts one crossing group on each crossing edge of
+        # its sender; a crossing unicast group is a group of its own
+        # unless it shares a broadcast's (round, sender).
+        b_cross = b_bits * cross_deg[b_v]
+        u_cross = left[u_v] != left[u_t]
+        ug_key = groups.ug_key
+        ug_cross = left[(ug_key // n) % n] != left[ug_key % n]
+        cut.messages += int(cross_deg[groups.bg_key % n].sum()) + int(
+            (ug_cross & (groups.ug_shared < 0)).sum()
+        )
+        cut.bits += int(b_cross.sum()) + int(u_bits[u_cross].sum())
+        per_round = np.bincount(
+            b_r, weights=b_cross, minlength=rounds
+        ) + np.bincount(u_r[u_cross], weights=u_bits[u_cross], minlength=rounds)
+        for rr in np.flatnonzero(per_round).tolist():
+            cut.bits_per_round[rr] = (
+                cut.bits_per_round.get(rr, 0) + int(per_round[rr])
             )
-    return order, first, counts, group_bits, g_round, g_snd, g_tgt
-
-
-def _first_violation(plan: _Plan, grouping, budget: int):
-    """The earliest strict-mode violation in drain order, if any.
-
-    Mirrors the sweep engine: per directed edge per round, the running
-    bit total is checked after each send; the violating send is the one
-    with the minimum drain rank whose cumulative edge-round total
-    exceeds the budget.  Returns (round, sender, target, bits_used) or
-    None.
-    """
-    order, first, _counts, _keys, group_bits = grouping
-    if int(group_bits.max()) <= budget:
-        # Bits are positive, so every running prefix is bounded by its
-        # group total — no group over budget means no violating send.
-        return None
-    bs = plan.bits_col[order]
-    cum = np.cumsum(bs)
-    base = np.zeros(bs.size, dtype=np.int64)
-    base[first[1:]] = cum[first[1:] - 1]
-    cum = cum - np.maximum.accumulate(base)
-    bad = np.flatnonzero(cum > budget)
-    if bad.size == 0:
-        return None
-    ranks = plan.rank[order][bad]
-    pick = bad[np.argmin(ranks)]
-    row = order[pick]
-    return (
-        int(plan.r_col[row]),
-        int(plan.snd_col[row]),
-        int(plan.tgt_col[row]),
-        int(cum[pick]),
-    )
 
 
 # ---------------------------------------------------------------------------
 # message materialization (replay + sampling audit)
 # ---------------------------------------------------------------------------
 class _Materializer:
-    """Rebuilds the concrete :mod:`repro.wire` message for a send row."""
+    """Rebuilds the concrete :mod:`repro.wire` message of a table row."""
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: _Plan, sends: _Sends):
         self.plan = plan
-        self._lf_cache: Dict[Tuple[int, int], Any] = {}
+        self.sends = sends
+        self._waves: Dict[int, BfsWave] = {}
+        self._values: Dict[int, AggValue] = {}
         self._agg_start = AggStart(plan.diameter, plan.t_max, plan.base)
-        n = plan.N
-        self._announce = Announce(n)
+        self._announce = Announce(plan.N)
         self._token = DfsToken()
         self._token_back = DfsToken(returning=True)
         self._join = TreeJoin()
 
-    def message(self, kind: int, aux: int):
+    def broadcast(self, row: int):
         plan = self.plan
-        if kind == _K_WAVE:
-            cached = self._lf_cache.get((kind, aux))
+        if row < plan.N:
+            return TreeWave(plan.depth[row])
+        p = row - plan.N
+        cached = self._waves.get(p)
+        if cached is None:
+            sigma = _lf(plan.sig_m[p], plan.sig_e[p], plan.L, Rounding.CEIL)
+            cached = BfsWave(
+                int(plan.src[p // plan.N]),
+                int(plan.T[p // plan.N]),
+                int(plan.dist_flat[p]),
+                sigma,
+            )
+            self._waves[p] = cached
+        return cached
+
+    def unicast(self, row: int):
+        sends = self.sends
+        n_py = sends.py_kind.size
+        if row >= n_py:
+            plan = self.plan
+            p = int(plan.pair_rows[row - n_py])
+            cached = self._values.get(p)
             if cached is None:
-                p = aux
-                sigma = _lf(
-                    plan.sig_m[p], plan.sig_e[p], plan.L, Rounding.CEIL
-                )
-                cached = BfsWave(
-                    int(plan.src[p // plan.N]),
-                    int(plan.T[p // plan.N]),
-                    int(plan.dist_flat[p]),
-                    sigma,
-                )
-                self._lf_cache[(kind, aux)] = cached
-            return cached
-        if kind == _K_AGGVALUE:
-            cached = self._lf_cache.get((kind, aux))
-            if cached is None:
-                p = aux
                 value = _lf(
                     plan.val_m[p], plan.val_e[p], plan.L, Rounding.FLOOR
                 )
                 cached = AggValue(int(plan.src[p // plan.N]), value)
-                self._lf_cache[(kind, aux)] = cached
+                self._values[p] = cached
             return cached
-        if kind == _K_TREE_WAVE:
-            return TreeWave(aux)
+        kind = int(sends.py_kind[row])
+        aux = int(sends.py_aux[row])
         if kind == _K_TREE_JOIN:
             return self._join
         if kind == _K_COUNT:
@@ -797,57 +868,58 @@ class _Materializer:
         return self._agg_start  # _K_AGGSTART
 
 
-def _sampling_audit(sim, plan: _Plan, grouping) -> None:
+def _spread(count: int, k: int):
+    """At most ``k`` evenly strided indices into ``range(count)``."""
+    if count <= k:
+        return np.arange(count)
+    return np.unique(np.linspace(0, count - 1, k).astype(np.int64))
+
+
+def _sampling_audit(sim, plan: _Plan, sends: _Sends, groups: _Groups) -> None:
     """Spot-check billed totals against the exact codec.
 
-    A deterministic sample of edge-round groups (the worst edge plus an
-    even stride across all groups) is re-encoded through
-    :func:`encode_frame`; any disagreement with the vectorized billing
-    raises the same :class:`WireCodecError` as the sweep engine's frame
-    audit.
+    A deterministic sample of edge-round groups — an even stride over
+    the broadcast groups (each on its sender's first edge) and over the
+    unicast groups, plus the worst edge — is re-encoded through
+    :func:`encode_frame` in drain order; any disagreement with the
+    billed bits raises the same :class:`WireCodecError` as the round
+    kernel's frame audit.
     """
-    order, first, counts, group_bits, g_round, g_snd, g_tgt = grouping
-    n_groups = first.size
-    if n_groups <= _AUDIT_SAMPLES:
-        sample = np.arange(n_groups)
-    else:
-        sample = np.unique(
-            np.concatenate((
-                np.linspace(0, n_groups - 1, _AUDIT_SAMPLES).astype(np.int64),
-                [int(np.argmax(group_bits))],
-            ))
-        )
-    mat = _Materializer(plan)
+    n = groups.n
+    half = _AUDIT_SAMPLES // 2
+    edges = {groups.worst}
+    for key in groups.bg_key[_spread(groups.bg_key.size, half)].tolist():
+        v = key % n
+        edges.add((key // n, v, int(groups.indices[groups.indptr[v]])))
+    for key in groups.ug_key[_spread(groups.ug_key.size, half)].tolist():
+        edges.add((key // (n * n), (key // n) % n, key % n))
+    mat = _Materializer(plan, sends)
     wire = sim.wire
-    _materialize_meta(plan)
-    kind = plan.kind_col
-    aux = plan.aux_col
-    rank = plan.rank
-    for g in sample:
-        rows = order[first[g]: first[g] + counts[g]]
-        rows = rows[np.argsort(rank[rows])]
-        messages = [mat.message(int(kind[i]), int(aux[i])) for i in rows]
+    for r, v, u in sorted(edges):
+        rows, charged = groups.frame(r, v, u)
+        messages = [
+            mat.unicast(row) if is_unicast else mat.broadcast(row)
+            for _rank, is_unicast, row in rows
+        ]
         _word, frame_bits = encode_frame(messages, wire)
-        if frame_bits != int(group_bits[g]):
+        if frame_bits != charged:
             raise WireCodecError(
                 "round {}: edge {}->{} charged {} bits but its "
-                "encoded frame is {} bits".format(
-                    int(g_round[g]), int(g_snd[g]), int(g_tgt[g]),
-                    int(group_bits[g]), frame_bits,
-                )
+                "encoded frame is {} bits".format(r, v, u, charged, frame_bits)
             )
 
 
 # ---------------------------------------------------------------------------
 # replay (exact per-send observability)
 # ---------------------------------------------------------------------------
-def _replay(sim, plan: _Plan) -> None:
-    """Drive the precomputed send inventory through sweep-exact billing.
+def _replay(sim, plan: _Plan, sends: _Sends) -> None:
+    """Drive the send tables through sweep-exact billing, one send at a time.
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
     round monitors, the full frame audit) or ends exceptionally; follows
     ``RoundKernel.step`` line for line — same drain order, same per-edge
-    totals, same raise points, same partial tracer/stats state.
+    totals, same raise points, same partial tracer/stats state.  The
+    only place the broadcasts are expanded into per-send rows.
     """
     stats = sim.stats
     wire = sim.wire
@@ -862,20 +934,37 @@ def _replay(sim, plan: _Plan) -> None:
     budget = sim.bit_budget if sim.strict else None
     audit = sim.frame_audit
     max_rounds = sim.max_rounds
-    _materialize_meta(plan)
-    order = np.argsort(plan.rank)
-    r_l = plan.r_col[order].tolist()
-    snd_l = plan.snd_col[order].tolist()
-    tgt_l = plan.tgt_col[order].tolist()
-    kind_l = plan.kind_col[order].tolist()
-    aux_l = plan.aux_col[order].tolist()
-    mat = _Materializer(plan)
-    message_of = mat.message
+    N = plan.N
+    b_r, b_v, b_slot, _b_bits = sends.broadcasts
+    u_r, u_v, u_t, _u_bits, u_rank = sends.unicasts
+    fan = plan.deg[b_v]
+    row = np.repeat(np.arange(b_r.size, dtype=np.int64), fan)
+    seq = np.arange(row.size, dtype=np.int64) - np.repeat(
+        np.cumsum(fan) - fan, fan
+    )
+    order = np.argsort(np.concatenate((
+        _drain_rank(N, b_r[row], b_v[row], b_slot[row], seq), u_rank,
+    )))
+    n_bcast = b_r.size
+    r_l = np.concatenate((b_r[row], u_r))[order].tolist()
+    snd_l = np.concatenate((b_v[row], u_v))[order].tolist()
+    tgt_l = np.concatenate((
+        plan.indices[np.repeat(plan.indptr[b_v], fan) + seq], u_t,
+    ))[order].tolist()
+    # One handle per send: a broadcast row, or n_bcast + a unicast row.
+    handle_l = np.concatenate((
+        row, n_bcast + np.arange(u_r.size, dtype=np.int64),
+    ))[order].tolist()
+    mat = _Materializer(plan, sends)
+    broadcast = mat.broadcast
+    unicast = mat.unicast
     total_sends = len(r_l)
     i = 0
     edge_load: Dict[Tuple[int, int], List[int]] = {}
     frames: Dict[Tuple[int, int], List[Any]] = {}
-    for round_number in range(plan.rounds):
+    # Like the round loop, the limit is checked before the termination
+    # test, so the terminal round itself can overrun it.
+    for round_number in range(plan.rounds + 1):
         if round_number > max_rounds:
             raise SimulationNotTerminatedError(
                 round_number,
@@ -886,11 +975,14 @@ def _replay(sim, plan: _Plan) -> None:
                 ),
                 sim.graph.name,
             )
+        if round_number == plan.rounds:
+            return
         stats.start_round()
         while i < total_sends and r_l[i] == round_number:
             sender = snd_l[i]
             target = tgt_l[i]
-            message = message_of(kind_l[i], aux_l[i])
+            h = handle_l[i]
+            message = broadcast(h) if h < n_bcast else unicast(h - n_bcast)
             bits = message.bit_size(wire)
             if tracer is not None:
                 tracer.record(round_number, sender, target, message, bits)
@@ -974,24 +1066,24 @@ def _populate_nodes(sim, plan: _Plan) -> None:
     """Back-fill node/phase state to match a completed sweep run."""
     N = plan.N
     L = plan.L
+    S = len(plan.src)
     root = plan.root
     aggregate = plan.aggregate
     horizon = plan.horizon
-    # Per-node sorted aggregation send rounds (ascending), vectorized:
-    # own pairs park at int64 max so a column sort pushes them last.
-    send_rounds_sorted = None
+    send_rounds = None
     if aggregate:
+        # Per-node ascending aggregation send rounds, one row per node:
+        # a source's own pair parks at the int64 max, so it sorts last.
         send_round = (
-            plan.base
-            + np.repeat(plan.T, N)
-            + plan.diameter
-            - plan.dist_flat
-        ).reshape(len(plan.src), N)
-        own_rows = np.arange(len(plan.src))
-        send_round = send_round.copy()
-        send_round[own_rows, plan.src] = np.iinfo(np.int64).max
-        send_rounds_sorted = np.sort(send_round, axis=0)
-    s_idx_of = plan.s_idx_of
+            plan.base + plan.diameter + plan.T[:, None]
+            - plan.dist_flat.reshape(S, N)
+        )
+        send_round[np.arange(S), plan.src] = np.iinfo(np.int64).max
+        send_rounds = np.sort(send_round.T, axis=1).tolist()
+    s_idx_of = plan.s_idx_of.tolist()
+    T = plan.T.tolist()
+    bet_m = plan.bet_m.tolist() if aggregate else None
+    bet_e = plan.bet_e.tolist() if aggregate else None
     for v in range(N):
         node = sim.nodes[v]
         tree = node.tree
@@ -1009,12 +1101,18 @@ def _populate_nodes(sim, plan: _Plan) -> None:
         tree.num_nodes = N
         if v == root:
             tree.census_round = plan.r_census
-        counting.visited = True
+        visited = plan.visited[v]
+        counting.visited = visited
         counting._bfs_start_round = None
-        counting._token_forward_round = None
-        counting._next_child_index = len(ch)
+        # Only a node first visited in the run's last rounds still holds
+        # its token forward: the run ended before the pause ran out.
+        forward = plan.first_visit[v] + 1
+        counting._token_forward_round = (
+            forward if visited and forward >= plan.rounds else None
+        )
+        counting._next_child_index = plan.next_child[v]
         s_i = s_idx_of[v]
-        counting.own_start_time = int(plan.T[s_i]) if s_i >= 0 else None
+        counting.own_start_time = T[s_i] if s_i >= 0 else None
         counting._done_reported = True
         counting._child_done = {c: plan.subtree_ecc[c] for c in ch}
         if v == root:
@@ -1029,16 +1127,12 @@ def _populate_nodes(sim, plan: _Plan) -> None:
         agg._horizon = horizon
         agg._schedule = {}
         if aggregate:
-            # A source column carries its own pair parked at the int64
-            # sentinel (sorted last); every other column is all real.
-            n_real = len(plan.src) - (1 if s_i >= 0 else 0)
-            agg._send_rounds = [
-                int(x) for x in send_rounds_sorted[:n_real, v]
-            ]
-            agg._send_cursor = n_real  # every scheduled send fired
-            agg.betweenness_raw = _lf(
-                plan.bet_m[v], plan.bet_e[v], L, Rounding.FLOOR
-            )
+            rounds_v = send_rounds[v]
+            if s_i >= 0:
+                rounds_v.pop()  # the parked own pair
+            agg._send_rounds = rounds_v
+            agg._send_cursor = len(rounds_v)  # every scheduled send fired
+            agg.betweenness_raw = _lf(bet_m[v], bet_e[v], L, Rounding.FLOOR)
             agg.finished_round = horizon + 1
         else:
             agg._send_rounds = []
@@ -1076,7 +1170,7 @@ def _emit_phase_marks(sim, plan: _Plan) -> None:
 # orchestration
 # ---------------------------------------------------------------------------
 def _compute(sim) -> _Plan:
-    """Derive the complete plan: schedule, arrays, sends, results."""
+    """Derive the complete plan: schedule, arrays, results."""
     graph = sim.graph
     N = graph.num_nodes
     node0 = sim.nodes[0]
@@ -1090,6 +1184,9 @@ def _compute(sim) -> _Plan:
         v for v in range(N) if sim.nodes[v].tree.is_root
     )
     indptr, indices, deg = _csr(graph)
+    plan.indptr = indptr
+    plan.indices = indices
+    plan.deg = deg
     depth, parent, children = tree_schedule(graph, plan.root)
     plan.depth = depth
     plan.parent = parent
@@ -1133,17 +1230,17 @@ def _compute(sim) -> _Plan:
     # the root's counting result.
     dist2d = plan.dist_flat.reshape(S, N)
     ecc = dist2d.max(axis=0)
-    plan.ecc = [int(x) for x in ecc]
+    plan.ecc = ecc.tolist()
     bottom_up = sorted(range(N), key=depth.__getitem__, reverse=True)
     subtree_ecc = [0] * N
     for v in bottom_up:
-        e = int(ecc[v])
+        e = plan.ecc[v]
         for c in children[v]:
             if subtree_ecc[c] > e:
                 e = subtree_ecc[c]
         subtree_ecc[v] = e
     plan.subtree_ecc = subtree_ecc
-    last_settle = (plan.T[:, None] + dist2d).max(axis=0)
+    last_settle = (plan.T[:, None] + dist2d).max(axis=0).tolist()
     all_sources = config.sources is None
     done_send = [0] * N
     for v in bottom_up:
@@ -1156,9 +1253,8 @@ def _compute(sim) -> _Plan:
             )
             if known > r:
                 r = known
-        ls = int(last_settle[v])
-        if ls > r:
-            r = ls
+        if last_settle[v] > r:
+            r = last_settle[v]
         for c in children[v]:
             if done_send[c] + 1 > r:
                 r = done_send[c] + 1
@@ -1170,7 +1266,6 @@ def _compute(sim) -> _Plan:
     plan.base = plan.r_result + plan.diameter + 1
     plan.horizon = plan.base + plan.t_max + plan.diameter
     if plan.aggregate:
-        plan.rounds = plan.horizon + 2
         plan.done_round = [plan.horizon + 1] * N
         _psi_recursion(plan, config, level_rows, settled)
         _betweenness_fold(plan)
@@ -1178,14 +1273,38 @@ def _compute(sim) -> _Plan:
         # Counting-only runs (distributed APSP): every node halts the
         # round its AggStart arrives; the last delivery reaches the
         # deepest leaves at r_result + depth_max.
-        plan.rounds = plan.r_result + plan.depth_max + 1
         plan.done_round = [plan.r_result + depth[v] for v in range(N)]
         plan.psi_m = plan.psi_e = None
         plan.val_m = plan.val_e = None
         plan.bet_m = plan.bet_e = None
-
-    _send_inventory(plan, sim, indptr, indices, deg, token_sends)
+    _cut_token_walk(plan, token_sends)
     return plan
+
+
+def _cut_token_walk(plan: _Plan, token_sends) -> None:
+    """End the run where the round loop would, and the token walk with it.
+
+    With few sources the DFS token can still be walking when the last
+    node finishes.  The run lasts while the walk keeps the network
+    busy (see :func:`repro.core.schedule.run_end_round`); every hop
+    from the final round on is never sent, so the walk's end state —
+    visited nodes, children handed the token, the root's completion
+    round — is the prefix the run reached.
+    """
+    plan.rounds = run_end_round(max(plan.done_round), token_sends)
+    kept = [send for send in token_sends if send[0] < plan.rounds]
+    plan.token_sends = kept
+    visited = [False] * plan.N
+    visited[plan.root] = True
+    next_child = [0] * plan.N
+    for _t, snd, tgt, returning, _slot in kept:
+        if not returning:
+            next_child[snd] += 1
+            visited[tgt] = True
+    plan.visited = visited
+    plan.next_child = next_child
+    if len(kept) < len(token_sends):
+        plan.dfs_complete = None
 
 
 def run_bulk(sim):
@@ -1194,23 +1313,17 @@ def run_bulk(sim):
     The caller (:meth:`Simulator.run`) has already resolved capability
     via the dispatcher; this function assumes the protocol envelope
     (stock nodes, one root, shared L-float arithmetic, no faults, a
-    connected graph).
+    connected graph).  The send tables live only for this call: held
+    results keep the plan (their ledgers read it), never the sends.
     """
     telemetry = sim.telemetry
     profiler = telemetry.profiler if telemetry is not None else None
     started = perf_counter()
     plan = _compute(sim)
-    grouping = None
-    plan.violation = None
-    if sim.strict:
-        grouping = _group_sends(
-            plan.N, plan.r_col, plan.snd_col, plan.tgt_col,
-            plan.bits_col, plan.rank,
-        )
-        plan.violation = _first_violation(plan, grouping, sim.bit_budget)
+    sends = _send_tables(plan, sim.wire)
     if profiler is not None:
         profiler.add("engine.bulk.plan", perf_counter() - started)
-        profiler.bump("engine.bulk.sends", int(plan.r_col.size))
+        profiler.bump("engine.bulk.sends", sends.total(plan.deg))
     needs_replay = (
         sim.tracer is not None
         or sim.frame_audit
@@ -1221,21 +1334,25 @@ def run_bulk(sim):
                 or getattr(telemetry, "wants_rounds", True)
             )
         )
-        or plan.violation is not None
         or plan.rounds > sim.max_rounds
     )
     started = perf_counter()
-    if needs_replay:
-        _replay(sim, plan)  # raises on violation / round-limit overrun
+    groups = None
+    if not needs_replay:
+        groups = edge_round_groups(
+            plan.indptr, plan.indices, sends.broadcasts, sends.unicasts
+        )
+        # Bits are positive, so a send breaks the budget exactly when
+        # some edge-round total does; replay raises at that send.
+        if sim.strict and groups.max_bits > sim.bit_budget:
+            groups = None
+    if groups is None:
+        _replay(sim, plan, sends)  # raises on violation / round-limit overrun
         if profiler is not None:
             profiler.add("engine.bulk.replay", perf_counter() - started)
     else:
-        grouping = populate_stats(
-            sim.stats, plan.rounds, plan.N,
-            plan.r_col, plan.snd_col, plan.tgt_col, plan.bits_col, plan.rank,
-            grouping=grouping,
-        )
-        _sampling_audit(sim, plan, grouping)
+        populate_stats(sim.stats, plan.rounds, groups)
+        _sampling_audit(sim, plan, sends, groups)
         if profiler is not None:
             profiler.add("engine.bulk.stats", perf_counter() - started)
     _emit_phase_marks(sim, plan)

@@ -158,8 +158,8 @@ class Telemetry:
         """Whether any monitor needs the per-round edge-load snapshots.
 
         The bulk engine consults this: when no round monitor is attached
-        it skips the per-round replay entirely and reduces the send
-        inventory with array ops.
+        it skips the per-round replay entirely and reduces its send
+        tables with array ops.
         """
         return bool(self._round_monitors)
 

@@ -18,7 +18,13 @@ import pytest
 
 from repro.cli import main
 from repro.core import distributed_betweenness
-from repro.graphs import connected_erdos_renyi_graph, cycle_graph, path_graph
+from repro.core.config import ProtocolConfig
+from repro.graphs import (
+    balanced_tree,
+    connected_erdos_renyi_graph,
+    cycle_graph,
+    path_graph,
+)
 from repro.obs import (
     BusSubscriber,
     ProgressEstimator,
@@ -147,6 +153,27 @@ class TestProgressEstimator:
         percents = [row["percent"] for row in progress if "percent" in row]
         assert percents == sorted(percents)
         assert all(0.0 <= p <= 100.0 for p in percents)
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_estimate_is_exact_when_the_token_walk_outlives_the_run(
+        self, aggregate
+    ):
+        """With one source the DFS token is still walking when the last
+        node finishes; the run stops mid-walk, and so must the schedule."""
+        telemetry = Telemetry.with_streaming(progress=True, console=False)
+        subscriber = telemetry.bus.subscribe(capacity=100_000)
+        result = distributed_betweenness(
+            balanced_tree(2, 3),
+            engine="event",
+            telemetry=telemetry,
+            config=ProtocolConfig(sources=frozenset({0}), aggregate=aggregate),
+        )
+        telemetry.bus.close()
+        final = [
+            row for row in subscriber.drain() if row.get("event") == "progress"
+        ][-1]
+        assert final["exact"] is True
+        assert final["rounds_total"] == result.rounds
 
     def test_bulk_pins_terminal_row_without_schedule(self):
         """Bulk has no round loop: one terminal 100% row, no derivation."""
