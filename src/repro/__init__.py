@@ -28,100 +28,59 @@ Quickstart::
     print("rounds:", result.rounds, "diameter:", result.diameter)
 """
 
-from repro.arithmetic import (
-    ExactContext,
-    LFloat,
-    LFloatArithmetic,
-    Rounding,
-    recommended_precision,
-)
-from repro.centrality import (
-    brandes_betweenness,
-    weighted_brandes_betweenness,
-    closeness_centrality,
-    graph_centrality,
-    naive_betweenness,
-    sampled_betweenness,
-    stress_centrality,
-)
-from repro.congest import Simulator, run_protocol
-from repro.core import (
-    CompletenessReport,
-    DistributedAPSPResult,
-    DistributedBCResult,
-    ProtocolConfig,
-    distributed_apsp,
-    distributed_betweenness,
-    distributed_closeness,
-    distributed_graph_centrality,
-    distributed_sampled_betweenness,
-    distributed_stress,
-    distributed_weighted_betweenness,
-)
-from repro.exceptions import (
-    CheckpointError,
-    CongestViolationError,
-    FrameChecksumError,
-    GraphNotConnectedError,
-    LFloatRangeError,
-    ProtocolError,
-    ReproError,
-    SimulationNotTerminatedError,
-    SimulationStalledError,
-)
-from repro.faults import (
-    CrashWindow,
-    FaultPlan,
-    LinkOutage,
-    SlowWorker,
-    WorkerHang,
-)
-from repro.graphs import Graph, GraphBuilder, WeightedGraph
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckpointError",
-    "CompletenessReport",
-    "CongestViolationError",
-    "CrashWindow",
-    "DistributedAPSPResult",
-    "DistributedBCResult",
-    "ExactContext",
-    "FaultPlan",
-    "FrameChecksumError",
-    "Graph",
-    "GraphBuilder",
-    "GraphNotConnectedError",
-    "LinkOutage",
-    "ProtocolConfig",
-    "SimulationNotTerminatedError",
-    "SimulationStalledError",
-    "SlowWorker",
-    "WeightedGraph",
-    "WorkerHang",
-    "LFloat",
-    "LFloatArithmetic",
-    "LFloatRangeError",
-    "ProtocolError",
-    "ReproError",
-    "Rounding",
-    "Simulator",
-    "__version__",
-    "brandes_betweenness",
-    "closeness_centrality",
-    "distributed_apsp",
-    "distributed_betweenness",
-    "distributed_closeness",
-    "distributed_graph_centrality",
-    "distributed_sampled_betweenness",
-    "distributed_stress",
-    "distributed_weighted_betweenness",
-    "graph_centrality",
-    "naive_betweenness",
-    "recommended_precision",
-    "run_protocol",
-    "sampled_betweenness",
-    "stress_centrality",
-    "weighted_brandes_betweenness",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".arithmetic": (
+        "ExactContext",
+        "LFloat",
+        "LFloatArithmetic",
+        "Rounding",
+        "recommended_precision",
+    ),
+    ".centrality": (
+        "brandes_betweenness",
+        "weighted_brandes_betweenness",
+        "closeness_centrality",
+        "graph_centrality",
+        "naive_betweenness",
+        "sampled_betweenness",
+        "stress_centrality",
+    ),
+    ".congest": ("Simulator", "run_protocol"),
+    ".core": (
+        "CompletenessReport",
+        "DistributedAPSPResult",
+        "DistributedBCResult",
+        "ProtocolConfig",
+        "distributed_apsp",
+        "distributed_betweenness",
+        "distributed_closeness",
+        "distributed_graph_centrality",
+        "distributed_sampled_betweenness",
+        "distributed_stress",
+        "distributed_weighted_betweenness",
+    ),
+    ".exceptions": (
+        "CheckpointError",
+        "CongestViolationError",
+        "FrameChecksumError",
+        "GraphNotConnectedError",
+        "LFloatRangeError",
+        "ProtocolError",
+        "ReproError",
+        "SimulationNotTerminatedError",
+        "SimulationStalledError",
+    ),
+    ".faults": (
+        "CrashWindow",
+        "FaultPlan",
+        "LinkOutage",
+        "SlowWorker",
+        "WorkerHang",
+    ),
+    ".graphs": ("Graph", "GraphBuilder", "WeightedGraph"),
+})
+__all__.append("__version__")

@@ -1,29 +1,19 @@
 """Experiment helpers: table rendering and complexity fitting."""
 
-from repro.analysis.complexity import (
-    LinearFit,
-    linear_fit,
-    power_law_exponent,
-    rounds_per_node,
-)
-from repro.analysis.runner import (
-    ExperimentRunner,
-    RunRecord,
-    default_max_workers,
-    run_many,
-)
-from repro.analysis.tables import format_value, print_table, render_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentRunner",
-    "LinearFit",
-    "RunRecord",
-    "default_max_workers",
-    "run_many",
-    "format_value",
-    "linear_fit",
-    "power_law_exponent",
-    "print_table",
-    "render_table",
-    "rounds_per_node",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".complexity": (
+        "LinearFit",
+        "linear_fit",
+        "power_law_exponent",
+        "rounds_per_node",
+    ),
+    ".runner": (
+        "ExperimentRunner",
+        "RunRecord",
+        "default_max_workers",
+        "run_many",
+    ),
+    ".tables": ("format_value", "print_table", "render_table"),
+})

@@ -1,37 +1,23 @@
 """L-bit floating point arithmetic and error-bound machinery (Section VI)."""
 
-from repro.arithmetic.context import (
-    ArithmeticContext,
-    ExactContext,
-    LFloatArithmetic,
-    make_context,
-    recommended_precision,
-)
-from repro.arithmetic.errors import (
-    compound_bound,
-    corollary1_error,
-    error_profile,
-    lemma1_bound,
-    max_relative_error,
-    relative_error,
-    theorem1_bound,
-)
-from repro.arithmetic.lfloat import LFloat, Rounding, lfloat_sum
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArithmeticContext",
-    "ExactContext",
-    "LFloat",
-    "LFloatArithmetic",
-    "Rounding",
-    "compound_bound",
-    "corollary1_error",
-    "error_profile",
-    "lemma1_bound",
-    "lfloat_sum",
-    "make_context",
-    "max_relative_error",
-    "recommended_precision",
-    "relative_error",
-    "theorem1_bound",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".context": (
+        "ArithmeticContext",
+        "ExactContext",
+        "LFloatArithmetic",
+        "make_context",
+        "recommended_precision",
+    ),
+    ".errors": (
+        "compound_bound",
+        "corollary1_error",
+        "error_profile",
+        "lemma1_bound",
+        "max_relative_error",
+        "relative_error",
+        "theorem1_bound",
+    ),
+    ".lfloat": ("LFloat", "Rounding", "lfloat_sum"),
+})

@@ -1,50 +1,32 @@
 """Centralized centrality baselines: Brandes (Algorithm 1) and friends."""
 
-from repro.centrality.accumulation import (
-    SSSPResult,
-    accumulate_dependencies,
-    accumulate_psi,
-    pair_dependencies,
-    descendant_path_counts,
-    shortest_path_descendants,
-    single_source_shortest_paths,
-)
-from repro.centrality.brandes import (
-    brandes_betweenness,
-    dependency_matrix,
-    single_node_betweenness,
-)
-from repro.centrality.naive import enumerate_betweenness, naive_betweenness
-from repro.centrality.other import (
-    closeness_centrality,
-    graph_centrality,
-    stress_centrality,
-)
-from repro.centrality.weighted import weighted_brandes_betweenness
-from repro.centrality.sampling import (
-    adaptive_sampled_betweenness,
-    required_samples,
-    sampled_betweenness,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SSSPResult",
-    "accumulate_dependencies",
-    "accumulate_psi",
-    "adaptive_sampled_betweenness",
-    "brandes_betweenness",
-    "closeness_centrality",
-    "dependency_matrix",
-    "enumerate_betweenness",
-    "graph_centrality",
-    "naive_betweenness",
-    "pair_dependencies",
-    "required_samples",
-    "sampled_betweenness",
-    "single_node_betweenness",
-    "descendant_path_counts",
-    "shortest_path_descendants",
-    "single_source_shortest_paths",
-    "stress_centrality",
-    "weighted_brandes_betweenness",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".accumulation": (
+        "SSSPResult",
+        "accumulate_dependencies",
+        "accumulate_psi",
+        "pair_dependencies",
+        "descendant_path_counts",
+        "shortest_path_descendants",
+        "single_source_shortest_paths",
+    ),
+    ".brandes": (
+        "brandes_betweenness",
+        "dependency_matrix",
+        "single_node_betweenness",
+    ),
+    ".naive": ("enumerate_betweenness", "naive_betweenness"),
+    ".other": (
+        "closeness_centrality",
+        "graph_centrality",
+        "stress_centrality",
+    ),
+    ".weighted": ("weighted_brandes_betweenness",),
+    ".sampling": (
+        "adaptive_sampled_betweenness",
+        "required_samples",
+        "sampled_betweenness",
+    ),
+})

@@ -26,6 +26,7 @@ from repro.centrality.accumulation import (
     accumulate_dependencies,
     single_source_shortest_paths,
 )
+from repro.exceptions import UnknownNodeError
 from repro.graphs.graph import Graph
 
 
@@ -105,7 +106,9 @@ def adaptive_sampled_betweenness(
     """
     n = graph.num_nodes
     if not graph.has_node(node):
-        raise KeyError(node)
+        raise UnknownNodeError(
+            "node {} is not a node of the graph (N={})".format(node, n)
+        )
     if n < 3:
         return 0.0, 0
     rng = random.Random(seed)

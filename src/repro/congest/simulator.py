@@ -97,8 +97,8 @@ class Simulator:
     strict:
         Enforce the per-edge bit budget (default True).
     congest_factor:
-        Budget multiplier c in ``c * ceil(log2 N)`` bits per directed
-        edge per round.
+        Budget multiplier c (a positive int) in ``c * ceil(log2 N)``
+        bits per directed edge per round.
     max_rounds:
         Safety valve; exceeded ⇒ :class:`SimulationNotTerminatedError`.
         Defaults to ``20 * N + 1000``, far above the paper's O(N) bound.
@@ -221,6 +221,12 @@ class Simulator:
         if not isinstance(workers, int) or workers < 1:
             raise ValueError(
                 "workers must be a positive int, got {!r}".format(workers)
+            )
+        if not isinstance(congest_factor, int) or congest_factor < 1:
+            raise ValueError(
+                "congest_factor must be a positive int, got {!r}".format(
+                    congest_factor
+                )
             )
         # Worker count and partitioner apply to engine="shard" only;
         # they are validated here (and the partitioner name by

@@ -29,7 +29,11 @@ from repro.congest.simulator import DEFAULT_CONGEST_FACTOR, Simulator
 from repro.congest.stats import SimulationStats
 from repro.core.config import UNIT_STRESS, ProtocolConfig
 from repro.core.node import BetweennessNode, make_node_factory
-from repro.exceptions import ProtocolError, SimulationStalledError
+from repro.exceptions import (
+    ProtocolError,
+    SimulationStalledError,
+    UnknownNodeError,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.properties import require_connected
 
@@ -148,7 +152,9 @@ class DistributedBCResult:
         """delta_{source·}(node) as computed by the protocol."""
         candidate = self._node_index().get(node)
         if candidate is None:
-            raise KeyError(node)
+            raise UnknownNodeError(
+                "node {} is not in this result".format(node)
+            )
         return candidate.aggregation.dependencies().get(source)
 
 
@@ -304,7 +310,11 @@ def distributed_betweenness(
             graph, strict=strict, congest_factor=congest_factor
         )
     if not graph.has_node(root):
-        raise KeyError(root)
+        raise UnknownNodeError(
+            "root {} is not a node of the graph (N={})".format(
+                root, graph.num_nodes
+            )
+        )
     ctx = make_context(arithmetic, graph.num_nodes)
     config = config or ProtocolConfig()
     injector = None

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, UnknownNodeError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
     all_pairs_distances,
@@ -113,6 +113,12 @@ def bfs_start_times(
     ``t0`` is the root's start time (the paper's Figure 1 uses 0).
     """
     require_connected(graph)
+    if not graph.has_node(root):
+        raise UnknownNodeError(
+            "root {} is not a node of the graph (N={})".format(
+                root, graph.num_nodes
+            )
+        )
     if mode == "shortcut":
         dist = all_pairs_distances(graph)
         order = dfs_preorder(graph, root)

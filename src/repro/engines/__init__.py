@@ -19,20 +19,15 @@ Modules
     schedule (Lemmas 2-5) and executes whole rounds as array ops.
 """
 
-from repro.engines.dispatcher import (
-    EngineDecision,
-    bulk_capability,
-    decide_engine,
-    shard_capability,
-    numpy_available,
-    reset_probe,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EngineDecision",
-    "bulk_capability",
-    "decide_engine",
-    "shard_capability",
-    "numpy_available",
-    "reset_probe",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".dispatcher": (
+        "EngineDecision",
+        "bulk_capability",
+        "decide_engine",
+        "shard_capability",
+        "numpy_available",
+        "reset_probe",
+    ),
+})

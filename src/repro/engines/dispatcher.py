@@ -12,12 +12,23 @@ passes and to ``event`` otherwise:
 * ``event`` — the round kernel with active-set scheduling; runs any
   protocol honoring the wake contract and never refuses a run.
 
+``"auto"`` picks bulk only from :data:`AUTO_BULK_MIN_NODES` nodes up.
+Below that crossover the event engine finishes first even with numpy
+already imported (``BENCH_coldstart.json``, written by
+``benchmarks/bench_coldstart.py``), so a small run resolves to event
+with the reason ``"N=8 is below the bulk crossover (12 nodes)"`` and
+never imports numpy or the bulk engine.  The size check runs after the
+protocol and fault checks, so a cfp-bc or faulty run still names its
+own reason.
+
 ``sweep`` (the lockstep reference mode of the same kernel) and
 ``shard`` are never auto-selected.
 
 Explicitly requesting ``engine="bulk"`` for a run outside the envelope
 raises :class:`~repro.exceptions.EngineCapabilityError`; ``"auto"``
-logs a one-line note (logger ``repro.engines``) and falls back.
+logs a one-line note (logger ``repro.engines``) and falls back.  An
+explicit request ignores the crossover: bulk runs any graph with at
+least two nodes.
 
 The numpy probe result is cached process-wide; tests that fake numpy's
 absence (e.g. ``monkeypatch.setitem(sys.modules, "numpy", None)``) must
@@ -60,6 +71,11 @@ class EngineDecision(NamedTuple):
 #: keeps every intermediate below 2**62.
 MAX_BULK_PRECISION = 30
 
+#: Fewest nodes for which ``engine="auto"`` picks bulk: the smallest N
+#: at which bulk is at least as fast as event on the median graph
+#: family of ``BENCH_coldstart.json``.
+AUTO_BULK_MIN_NODES = 12
+
 _numpy_probe: Optional[bool] = None
 
 
@@ -101,8 +117,13 @@ def _connected(graph) -> bool:
     return count == n
 
 
-def bulk_capability(simulator) -> Tuple[bool, str]:
+def bulk_capability(simulator, min_nodes: int = 2) -> Tuple[bool, str]:
     """Probe whether the bulk engine can run ``simulator``.
+
+    ``min_nodes`` is the size floor: 2 (the engine's own limit) for an
+    explicit request, :data:`AUTO_BULK_MIN_NODES` for ``"auto"``.  The
+    size check runs before the numpy probe, so a run below the floor
+    never imports numpy.
 
     Returns ``(True, "")`` when capable, else ``(False, reason)`` with a
     human-readable reason for the first failed check.
@@ -118,12 +139,17 @@ def bulk_capability(simulator) -> Tuple[bool, str]:
             "protocol {!r} is not bulk-capable (the closed-form array "
             "program encodes the stock schedule only)".format(protocol.name)
         )
-    if not numpy_available():
-        return False, "numpy is not installed (pip install 'repro[fast]')"
     if simulator.faults is not None:
         return False, "fault injection requires per-message delivery"
-    if simulator.graph.num_nodes < 2:
+    n = simulator.graph.num_nodes
+    if n < 2:
         return False, "bulk vectorization needs at least two nodes"
+    if n < min_nodes:
+        return False, "N={} is below the bulk crossover ({} nodes)".format(
+            n, min_nodes
+        )
+    if not numpy_available():
+        return False, "numpy is not installed (pip install 'repro[fast]')"
     # Deferred import: repro.core pulls in the whole protocol stack and
     # repro.congest.simulator imports this module lazily.
     from repro.arithmetic.context import LFloatArithmetic
@@ -167,7 +193,6 @@ def bulk_capability(simulator) -> Tuple[bool, str]:
     if roots != 1:
         return False, "expected exactly one tree root, found {}".format(roots)
     if config is not None and config.sources is not None:
-        n = simulator.graph.num_nodes
         if any(not 0 <= s < n for s in config.sources):
             return False, "config.sources references nodes outside the graph"
     if not _connected(simulator.graph):
@@ -260,12 +285,13 @@ def decide_engine(requested: str, simulator) -> EngineDecision:
             "shard",
             "explicitly requested ({} workers)".format(simulator.workers),
         )
-    capable, reason = bulk_capability(simulator)
     if requested == "bulk":
+        capable, reason = bulk_capability(simulator)
         if not capable:
             raise EngineCapabilityError("bulk", reason)
         return EngineDecision("bulk", "bulk", "explicitly requested")
     # requested == "auto"
+    capable, reason = bulk_capability(simulator, AUTO_BULK_MIN_NODES)
     if capable:
         logger.info("engine=auto resolved to 'bulk' (numpy batch backend)")
         return EngineDecision(

@@ -47,6 +47,9 @@ class InvalidEdgeError(GraphError):
 class UnknownNodeError(GraphError, KeyError):
     """A node identifier does not exist in the graph."""
 
+    # KeyError.__str__ would quote a message; print it as written.
+    __str__ = ReproError.__str__
+
 
 class GraphNotConnectedError(GraphError):
     """An algorithm requiring a connected graph was given a disconnected one.

@@ -19,48 +19,28 @@ Two halves, one package:
 See ``docs/fault-model.md`` for the taxonomy, guarantees and limits.
 """
 
-from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.plan import (
-    DEFAULT_STALL_PATIENCE,
-    CrashWindow,
-    FaultPlan,
-    LinkOutage,
-    SlowWorker,
-    WorkerHang,
-)
-from repro.faults.transport import (
-    RESILIENT_CONGEST_FACTOR,
-    RETRANSMIT_BURST,
-    RETRY_INTERVAL,
-    RETRY_INTERVAL_CAP,
-    Ack,
-    Envelope,
-    Fence,
-    ResilientNode,
-    make_resilient_factory,
-    unwrap_node,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # plan
-    "FaultPlan",
-    "CrashWindow",
-    "LinkOutage",
-    "WorkerHang",
-    "SlowWorker",
-    "DEFAULT_STALL_PATIENCE",
-    # injector
-    "FaultInjector",
-    "FaultStats",
-    # transport
-    "ResilientNode",
-    "Envelope",
-    "Fence",
-    "Ack",
-    "make_resilient_factory",
-    "unwrap_node",
-    "RESILIENT_CONGEST_FACTOR",
-    "RETRY_INTERVAL",
-    "RETRY_INTERVAL_CAP",
-    "RETRANSMIT_BURST",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".plan": (
+        "FaultPlan",
+        "CrashWindow",
+        "LinkOutage",
+        "WorkerHang",
+        "SlowWorker",
+        "DEFAULT_STALL_PATIENCE",
+    ),
+    ".injector": ("FaultInjector", "FaultStats"),
+    ".transport": (
+        "ResilientNode",
+        "Envelope",
+        "Fence",
+        "Ack",
+        "make_resilient_factory",
+        "unwrap_node",
+        "RESILIENT_CONGEST_FACTOR",
+        "RETRY_INTERVAL",
+        "RETRY_INTERVAL_CAP",
+        "RETRANSMIT_BURST",
+    ),
+})

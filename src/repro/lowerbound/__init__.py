@@ -1,61 +1,36 @@
 """Section IX lower-bound constructions and communication-cut analysis."""
 
-from repro.lowerbound.bc_gadget import BCGadget, build_bc_gadget
-from repro.lowerbound.cut import (
-    ReductionOutcome,
-    cut_capacity_per_round,
-    disjointness_bits_lower_bound,
-    information_lower_bound_rounds,
-    optimality_gap,
-    solve_disjointness_via_bc,
-    theorem_lower_bound,
-)
-from repro.lowerbound.diameter_gadget import DiameterGadget, build_diameter_gadget
-from repro.lowerbound.two_party import (
-    ExchangeEverythingDisjointness,
-    GadgetSimulationReport,
-    TwoPartyProtocol,
-    deterministic_disjointness_bound,
-    encode_family,
-    simulate_gadget_protocol,
-)
-from repro.lowerbound.subsets import (
-    Subset,
-    all_half_subsets,
-    families_intersect,
-    family_pair,
-    half_size,
-    minimal_m,
-    random_family,
-    subset_rank,
-    subset_unrank,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BCGadget",
-    "DiameterGadget",
-    "ReductionOutcome",
-    "Subset",
-    "all_half_subsets",
-    "build_bc_gadget",
-    "build_diameter_gadget",
-    "cut_capacity_per_round",
-    "disjointness_bits_lower_bound",
-    "families_intersect",
-    "family_pair",
-    "half_size",
-    "information_lower_bound_rounds",
-    "minimal_m",
-    "optimality_gap",
-    "random_family",
-    "solve_disjointness_via_bc",
-    "subset_rank",
-    "subset_unrank",
-    "theorem_lower_bound",
-    "ExchangeEverythingDisjointness",
-    "GadgetSimulationReport",
-    "TwoPartyProtocol",
-    "deterministic_disjointness_bound",
-    "encode_family",
-    "simulate_gadget_protocol",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".bc_gadget": ("BCGadget", "build_bc_gadget"),
+    ".cut": (
+        "ReductionOutcome",
+        "cut_capacity_per_round",
+        "disjointness_bits_lower_bound",
+        "information_lower_bound_rounds",
+        "optimality_gap",
+        "solve_disjointness_via_bc",
+        "theorem_lower_bound",
+    ),
+    ".diameter_gadget": ("DiameterGadget", "build_diameter_gadget"),
+    ".two_party": (
+        "ExchangeEverythingDisjointness",
+        "GadgetSimulationReport",
+        "TwoPartyProtocol",
+        "deterministic_disjointness_bound",
+        "encode_family",
+        "simulate_gadget_protocol",
+    ),
+    ".subsets": (
+        "Subset",
+        "all_half_subsets",
+        "families_intersect",
+        "family_pair",
+        "half_size",
+        "minimal_m",
+        "random_family",
+        "subset_rank",
+        "subset_unrank",
+    ),
+})

@@ -21,92 +21,52 @@ and regression gates (:mod:`repro.obs.history`), trace-diff forensics
 (:mod:`repro.obs.chrometrace`).
 """
 
-from repro.obs.chrometrace import chrome_trace, write_chrome_trace
-from repro.obs.history import (
-    HistoryLedger,
-    RegressionGates,
-    Violation,
-    compare_payloads,
-    entry_from_result,
-    entry_from_rows,
-    git_revision,
-    graph_fingerprint,
-    run_key,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.monitors import (
-    AggregationCollisionMonitor,
-    BandwidthMonitor,
-    LFloatErrorMonitor,
-    Monitor,
-    MonitorVerdict,
-    SelfHealingMonitor,
-    WireExactnessMonitor,
-    default_monitors,
-)
-from repro.obs.profiler import Profiler
-from repro.obs.schema import load_jsonl_rows, validate_jsonl_text, validate_rows
-from repro.obs.spans import PhaseSpan, PhaseTracker
-from repro.obs.stream import (
-    BusSubscriber,
-    ConsoleProgress,
-    JsonlStreamWriter,
-    ProgressEstimator,
-    TelemetryBus,
-    schedule_for_simulator,
-)
-from repro.obs.telemetry import METRICS_SCHEMA, Telemetry
-from repro.obs.tracediff import (
-    Divergence,
-    diff_report,
-    first_divergence,
-    round_frame_diff,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Monitor",
-    "MonitorVerdict",
-    "AggregationCollisionMonitor",
-    "BandwidthMonitor",
-    "LFloatErrorMonitor",
-    "SelfHealingMonitor",
-    "WireExactnessMonitor",
-    "default_monitors",
-    "Profiler",
-    "PhaseSpan",
-    "PhaseTracker",
-    "Telemetry",
-    "METRICS_SCHEMA",
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".monitors": (
+        "Monitor",
+        "MonitorVerdict",
+        "AggregationCollisionMonitor",
+        "BandwidthMonitor",
+        "LFloatErrorMonitor",
+        "SelfHealingMonitor",
+        "WireExactnessMonitor",
+        "default_monitors",
+    ),
+    ".profiler": ("Profiler",),
+    ".spans": ("PhaseSpan", "PhaseTracker"),
+    ".telemetry": ("Telemetry", "METRICS_SCHEMA"),
     # streaming bus
-    "TelemetryBus",
-    "BusSubscriber",
-    "JsonlStreamWriter",
-    "ProgressEstimator",
-    "ConsoleProgress",
-    "schedule_for_simulator",
+    ".stream": (
+        "TelemetryBus",
+        "BusSubscriber",
+        "JsonlStreamWriter",
+        "ProgressEstimator",
+        "ConsoleProgress",
+        "schedule_for_simulator",
+    ),
     # schema / partial logs
-    "load_jsonl_rows",
-    "validate_rows",
-    "validate_jsonl_text",
+    ".schema": ("load_jsonl_rows", "validate_rows", "validate_jsonl_text"),
     # run history + regression gates
-    "HistoryLedger",
-    "RegressionGates",
-    "Violation",
-    "compare_payloads",
-    "entry_from_result",
-    "entry_from_rows",
-    "git_revision",
-    "graph_fingerprint",
-    "run_key",
+    ".history": (
+        "HistoryLedger",
+        "RegressionGates",
+        "Violation",
+        "compare_payloads",
+        "entry_from_result",
+        "entry_from_rows",
+        "git_revision",
+        "graph_fingerprint",
+        "run_key",
+    ),
     # forensics
-    "Divergence",
-    "first_divergence",
-    "round_frame_diff",
-    "diff_report",
-    "chrome_trace",
-    "write_chrome_trace",
-]
+    ".tracediff": (
+        "Divergence",
+        "first_divergence",
+        "round_frame_diff",
+        "diff_report",
+    ),
+    ".chrometrace": ("chrome_trace", "write_chrome_trace"),
+})

@@ -22,34 +22,22 @@ Public surface:
   layout behind ``--checkpoint-every`` and ``repro resume``.
 """
 
-from repro.shard.partition import edge_cut, partition_nodes
-from repro.shard.frames import decode_shard_frame, encode_shard_frame
-from repro.shard.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    list_checkpoints,
-    load_checkpoint,
-    read_manifest,
-    resolve_checkpoint,
-    write_checkpoint,
-)
-from repro.shard.supervisor import (
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    SupervisionConfig,
-    supervision_for,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "edge_cut",
-    "partition_nodes",
-    "encode_shard_frame",
-    "decode_shard_frame",
-    "CHECKPOINT_SCHEMA",
-    "list_checkpoints",
-    "load_checkpoint",
-    "read_manifest",
-    "resolve_checkpoint",
-    "write_checkpoint",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
-    "SupervisionConfig",
-    "supervision_for",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".partition": ("edge_cut", "partition_nodes"),
+    ".frames": ("encode_shard_frame", "decode_shard_frame"),
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA",
+        "list_checkpoints",
+        "load_checkpoint",
+        "read_manifest",
+        "resolve_checkpoint",
+        "write_checkpoint",
+    ),
+    ".supervisor": (
+        "DEFAULT_HEARTBEAT_TIMEOUT",
+        "SupervisionConfig",
+        "supervision_for",
+    ),
+})

@@ -34,6 +34,7 @@ frame audit turns into a hard error rather than a silent estimate.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import FrameChecksumError, WireCodecError
@@ -55,6 +56,16 @@ Field = Tuple[str, str]
 
 #: tag -> registered message class (populated by :func:`register`).
 _BY_TAG: Dict[int, type] = {}
+
+#: The modules whose import registers the built-in tags.  Package
+#: imports are lazy, so a process may decode a frame (say, a trace read
+#: from disk) before anything has imported the class that wrote it.
+_BUILTIN_MESSAGE_MODULES = ("repro.wire.messages", "repro.congest.primitives")
+
+
+def _load_builtin_messages() -> None:
+    for name in _BUILTIN_MESSAGE_MODULES:
+        importlib.import_module(name)
 
 
 def register(tag: int):
@@ -88,6 +99,7 @@ def register(tag: int):
 
 def registered_types() -> Dict[int, type]:
     """A copy of the tag registry (tag -> message class)."""
+    _load_builtin_messages()
     return dict(_BY_TAG)
 
 
@@ -157,6 +169,9 @@ def decode_message(reader: BitReader, wire: WireFormat, arith=None) -> Any:
     """
     tag = reader.read(TYPE_TAG_BITS)
     cls = _BY_TAG.get(tag)
+    if cls is None:
+        _load_builtin_messages()
+        cls = _BY_TAG.get(tag)
     if cls is None:
         raise WireCodecError("unknown wire tag {}".format(tag))
     layout = cls.WIRE_LAYOUT

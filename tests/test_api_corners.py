@@ -7,6 +7,7 @@ import pytest
 
 from repro import exceptions
 from repro.analysis import ExperimentRunner
+from repro.centrality import adaptive_sampled_betweenness
 from repro.congest import Tracer
 from repro.core import (
     distributed_apsp,
@@ -14,6 +15,7 @@ from repro.core import (
     distributed_closeness,
     distributed_graph_centrality,
 )
+from repro.core.schedule import bfs_start_times
 from repro.wire import BfsWave, DfsToken
 from repro.graphs import (
     WeightedGraph,
@@ -29,6 +31,21 @@ class TestResultObjectCorners:
         result = distributed_betweenness(path_graph(4), arithmetic="exact")
         with pytest.raises(KeyError):
             result.dependency(0, 99)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: distributed_betweenness(path_graph(3), root=9),
+            lambda: distributed_betweenness(path_graph(4)).dependency(0, 99),
+            lambda: adaptive_sampled_betweenness(star_graph(4), 99),
+            lambda: bfs_start_times(path_graph(5), root=9),
+            lambda: bfs_start_times(path_graph(5), root=9, mode="tree_walk"),
+        ],
+        ids=["root", "dependency", "sampling", "shortcut", "tree_walk"],
+    )
+    def test_unknown_node_raises_typed_error(self, call):
+        with pytest.raises(exceptions.UnknownNodeError):
+            call()
 
     def test_dependency_excludes_self_source(self):
         result = distributed_betweenness(path_graph(4), arithmetic="exact")

@@ -504,7 +504,7 @@ def test_cli_report_shows_resolved_engine(capsys):
     from repro.cli import main
 
     reset_probe()
-    assert main(["report", "--graph", "figure1"]) == 0
+    assert main(["report", "--graph", "karate"]) == 0
     out = capsys.readouterr().out
     assert "engine=bulk" in out
 

@@ -57,6 +57,23 @@ class TestCommands:
         assert self.run("bc", "--file", str(path)) == 1
         assert "not connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bc", "--graph", "cycle:8", "--root", "8"),
+            ("apsp", "--graph", "cycle:8", "--root", "8"),
+            ("trace", "--graph", "cycle:8", "--root", "8"),
+            ("report", "--graph", "cycle:8", "--root", "8"),
+            ("schedule", "--graph", "path:5", "--root", "9"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_root_reports_error(self, argv, capsys):
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: root ")
+        assert "Traceback" not in err
+
     def test_apsp(self, capsys):
         assert self.run("apsp", "--graph", "star:6") == 0
         assert "closeness" in capsys.readouterr().out

@@ -113,6 +113,11 @@ class TestBudgets:
         sim_large = Simulator(path_graph(4), FloodNode, congest_factor=64)
         assert sim_large.bit_budget == 64 * sim_small.bit_budget
 
+    @pytest.mark.parametrize("factor", [0, -1, 2.5])
+    def test_factor_must_be_positive_int(self, factor):
+        with pytest.raises(ValueError, match="congest_factor"):
+            Simulator(path_graph(4), FloodNode, congest_factor=factor)
+
     def test_round_limit(self):
         with pytest.raises(SimulationNotTerminatedError):
             run_protocol(path_graph(3), SilentNode, max_rounds=10)

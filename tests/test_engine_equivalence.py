@@ -29,6 +29,7 @@ from repro.graphs import (
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
+    karate_club_graph,
     path_graph,
 )
 
@@ -298,13 +299,24 @@ def test_event_engine_skips_idle_nodes_but_rounds_match():
 # ----------------------------------------------------------------------
 # dispatcher: engine="auto" resolution and graceful degradation
 # ----------------------------------------------------------------------
+def _auto_run(graph, arithmetic="lfloat"):
+    """An ``engine="auto"`` run of ``graph`` and the dispatcher's reason."""
+    from repro.obs import Telemetry
+
+    telemetry = Telemetry()
+    result = distributed_betweenness(
+        graph, arithmetic=arithmetic, telemetry=telemetry
+    )
+    return result, telemetry.events()[0]["engine_reason"]
+
+
 def test_auto_resolves_to_bulk_with_numpy():
     """With numpy importable (tier-1 w/ extras), auto means bulk."""
     pytest.importorskip("numpy")
     from repro.engines import reset_probe
 
     reset_probe()
-    result = distributed_betweenness(figure1_graph(), arithmetic="lfloat")
+    result = distributed_betweenness(karate_club_graph(), arithmetic="lfloat")
     assert result.stats.engine == "bulk"
 
 
@@ -314,14 +326,16 @@ def test_auto_without_numpy_falls_back_to_event(monkeypatch):
 
     from repro.engines import reset_probe
 
+    graph = karate_club_graph()
     reference = _fingerprint(
-        distributed_betweenness(figure1_graph(), arithmetic="lfloat", engine="sweep")
+        distributed_betweenness(graph, arithmetic="lfloat", engine="sweep")
     )
     monkeypatch.setitem(sys.modules, "numpy", None)
     reset_probe()
     try:
-        result = distributed_betweenness(figure1_graph(), arithmetic="lfloat")
+        result, reason = _auto_run(graph)
         assert result.stats.engine == "event"
+        assert "numpy" in reason
         assert _fingerprint(result) == reference
     finally:
         monkeypatch.undo()
@@ -330,8 +344,58 @@ def test_auto_without_numpy_falls_back_to_event(monkeypatch):
 
 def test_auto_falls_back_to_event_for_exact_arithmetic():
     """Exact arithmetic is outside the bulk envelope; auto must not pick it."""
-    result = distributed_betweenness(figure1_graph(), arithmetic="exact")
+    from repro.engines import numpy_available
+
+    result, reason = _auto_run(karate_club_graph(), arithmetic="exact")
     assert result.stats.engine == "event"
+    assert ("L-float" if numpy_available() else "numpy") in reason
+
+
+def test_auto_below_crossover_takes_event_without_probing_numpy(monkeypatch):
+    """Below the crossover auto picks event by size, numpy or not."""
+    import sys
+
+    from repro.engines import reset_probe
+    from repro.engines.dispatcher import AUTO_BULK_MIN_NODES
+
+    n = AUTO_BULK_MIN_NODES - 1
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    reset_probe()
+    try:
+        result, reason = _auto_run(path_graph(n))
+    finally:
+        monkeypatch.undo()
+        reset_probe()
+    assert result.stats.engine == "event"
+    assert reason == (
+        "bulk unavailable: N={} is below the bulk crossover "
+        "({} nodes)".format(n, AUTO_BULK_MIN_NODES)
+    )
+
+
+def test_auto_at_crossover_takes_bulk():
+    pytest.importorskip("numpy")
+    from repro.engines import reset_probe
+    from repro.engines.dispatcher import AUTO_BULK_MIN_NODES
+
+    reset_probe()
+    result, _ = _auto_run(path_graph(AUTO_BULK_MIN_NODES))
+    assert result.stats.engine == "bulk"
+
+
+def test_explicit_bulk_below_crossover_matches_event():
+    """An explicit request ignores the crossover: bulk runs every N >= 2."""
+    pytest.importorskip("numpy")
+    from repro.engines.dispatcher import AUTO_BULK_MIN_NODES
+
+    for n in range(2, AUTO_BULK_MIN_NODES):
+        graph = connected_erdos_renyi_graph(n, 0.4, seed=n)
+        runs = {
+            engine: distributed_betweenness(graph, engine=engine)
+            for engine in ("bulk", "event")
+        }
+        assert runs["bulk"].stats.engine == "bulk"
+        assert _fingerprint(runs["bulk"]) == _fingerprint(runs["event"]), n
 
 
 def test_explicit_bulk_rejects_exact_arithmetic():

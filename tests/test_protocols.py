@@ -26,6 +26,7 @@ from repro.graphs import (
     cycle_graph,
     figure1_graph,
     grid_graph,
+    karate_club_graph,
     lollipop_graph,
     path_graph,
     star_graph,
@@ -135,19 +136,21 @@ class TestDispatcherProtocolGate:
         class CustomNode(BetweennessNode):
             pass
 
-        graph = path_graph(6)
+        graph = karate_club_graph()
         ctx = make_context("lfloat", graph.num_nodes)
         factory = make_node_factory(0, ctx, node_class=CustomNode)
         sim = Simulator(graph, factory, engine="auto")
         assert sim.protocol is None
         assert sim.engine == "event"
+        expected = "CustomNode" if _numpy_available() else "numpy"
+        assert expected in sim.engine_decision.reason
 
     @pytest.mark.skipif(
         not _numpy_available(), reason="bulk engine needs numpy"
     )
     def test_auto_with_hua_still_takes_bulk(self):
         result = distributed_betweenness(
-            path_graph(8), engine="auto", protocol="hua-bc"
+            karate_club_graph(), engine="auto", protocol="hua-bc"
         )
         assert result.stats.engine == "bulk"
 
