@@ -52,9 +52,7 @@ def main() -> int:
     )
 
     ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
-    recorded = ledger.ingest_bench_arena(
-        payload, git_rev=git_revision(str(ROOT))
-    )
+    recorded = ledger.ingest(payload, git_rev=git_revision(str(ROOT)))
     print("ledger: {} entries appended to {}".format(recorded, ledger.path))
 
     failures = []

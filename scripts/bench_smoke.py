@@ -71,8 +71,8 @@ def main() -> int:
     ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
     rev = git_revision(str(ROOT))
     engine_payload = json.loads((ROOT / "BENCH_engine.json").read_text())
-    recorded = ledger.ingest_bench_engine(engine_payload, git_rev=rev)
-    recorded += ledger.ingest_bench_faults(faults_payload, git_rev=rev)
+    recorded = ledger.ingest(engine_payload, git_rev=rev)
+    recorded += ledger.ingest(faults_payload, git_rev=rev)
     print(
         "ledger: {} entries appended to {} (rev {})".format(
             recorded, ledger.path, rev or "unknown"

@@ -16,8 +16,8 @@ Usage::
 
     python scripts/chaos_smoke.py       # ~30 s on a 1-core container
 
-This is the CI chaos job's entry point; the full differential suite
-lives in ``tests/test_faults.py``.
+This is the chaos entry of CI's ``bench-gate`` matrix; the full
+differential suite lives in ``tests/test_faults.py``.
 """
 
 import sys

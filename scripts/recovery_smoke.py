@@ -22,7 +22,6 @@ Usage::
     python scripts/recovery_smoke.py       # ~2-3 min on a 1-core container
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -125,7 +124,7 @@ def main() -> int:
 
     ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
     rev = git_revision(str(ROOT))
-    recorded = ledger.ingest_bench_recovery(payload, git_rev=rev)
+    recorded = ledger.ingest(payload, git_rev=rev)
     print(
         "ledger: {} entries appended to {} (rev {})".format(
             recorded, ledger.path, rev or "unknown"

@@ -46,11 +46,9 @@ MEMORY_N = 400
 def main() -> int:
     rows = measure(sizes=SIZES, worker_counts=WORKER_COUNTS)
     memory = measure_memory_split(n=MEMORY_N)
-    write_json(rows, memory=memory)
+    payload = write_json(rows, memory=memory)
     _print_rows(rows, "shard smoke (W in {})".format(WORKER_COUNTS))
     print("wrote {}".format(ROOT / "BENCH_shard.json"))
-
-    import json
 
     from repro.obs.history import (
         DEFAULT_HISTORY_PATH,
@@ -60,8 +58,7 @@ def main() -> int:
 
     ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
     rev = git_revision(str(ROOT))
-    payload = json.loads((ROOT / "BENCH_shard.json").read_text())
-    recorded = ledger.ingest_bench_shard(payload, git_rev=rev)
+    recorded = ledger.ingest(payload, git_rev=rev)
     print(
         "ledger: {} entries appended to {} (rev {})".format(
             recorded, ledger.path, rev or "unknown"

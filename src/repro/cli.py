@@ -1433,20 +1433,29 @@ def cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_compare(args: argparse.Namespace) -> int:
+def _load_bench_payload(path: str) -> dict:
+    """A BENCH payload from ``path``; exits with a message when the file
+    is missing, is not JSON, or does not hold a JSON object."""
     import json as _json
 
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = _json.load(fh)
+    except (OSError, ValueError) as err:
+        raise SystemExit("cannot read {}: {}".format(path, err))
+    if not isinstance(payload, dict):
+        raise SystemExit(
+            "cannot read {}: a benchmark payload is a JSON object, not "
+            "{}".format(path, type(payload).__name__)
+        )
+    return payload
+
+
+def cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.obs.history import RegressionGates, compare_payloads
 
-    def load(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return _json.load(fh)
-        except (OSError, ValueError) as err:
-            raise SystemExit("cannot read {}: {}".format(path, err))
-
-    baseline = load(args.baseline)
-    current = load(args.current)
+    baseline = _load_bench_payload(args.baseline)
+    current = _load_bench_payload(args.current)
     gates = RegressionGates(
         max_speedup_drop=args.max_speedup_drop,
         max_slowdown=args.max_slowdown,
@@ -1463,20 +1472,18 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     if args.ledger:
         from repro.obs.history import HistoryLedger, git_revision
 
-        ledger = HistoryLedger(args.ledger)
-        rev = git_revision()
-        for payload in (current,):
-            if payload.get("benchmark") == "engine_comparison":
-                ledger.ingest_bench_engine(payload, git_rev=rev)
-            elif payload.get("benchmark") == "fault_layer":
-                ledger.ingest_bench_faults(payload, git_rev=rev)
-            elif payload.get("benchmark") == "protocol_arena":
-                ledger.ingest_bench_arena(payload, git_rev=rev)
-            elif payload.get("benchmark") == "shard_runtime":
-                ledger.ingest_bench_shard(payload, git_rev=rev)
-            elif payload.get("benchmark") == "recovery":
-                ledger.ingest_bench_recovery(payload, git_rev=rev)
-        print("current payload recorded in {}".format(args.ledger))
+        try:
+            count = HistoryLedger(args.ledger).ingest(
+                current, git_rev=git_revision()
+            )
+        except ValueError as err:
+            print("current payload not recorded: {}".format(err))
+        else:
+            print(
+                "current payload: {} record(s) appended to {}".format(
+                    count, args.ledger
+                )
+            )
     if violations and args.warn_only:
         print("(warn-only: exiting 0 despite violations)")
         return 0
@@ -1484,34 +1491,31 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_ingest(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.history import HistoryLedger, git_revision
 
     ledger = HistoryLedger(args.ledger)
     rev = git_revision()
     total = 0
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = _json.load(fh)
-        kind = payload.get("benchmark")
-        if kind == "engine_comparison":
-            total += ledger.ingest_bench_engine(payload, git_rev=rev)
-        elif kind == "fault_layer":
-            total += ledger.ingest_bench_faults(payload, git_rev=rev)
-        elif kind == "protocol_arena":
-            total += ledger.ingest_bench_arena(payload, git_rev=rev)
-        elif kind == "shard_runtime":
-            total += ledger.ingest_bench_shard(payload, git_rev=rev)
-        elif kind == "recovery":
-            total += ledger.ingest_bench_recovery(payload, git_rev=rev)
-        else:
-            print(
-                "skipping {}: unknown benchmark kind {!r}".format(path, kind),
-                file=sys.stderr,
-            )
+        try:
+            total += ledger.ingest(_load_bench_payload(path), git_rev=rev)
+        except ValueError as err:
+            print("skipping {}: {}".format(path, err), file=sys.stderr)
     print("{} record(s) appended to {}".format(total, args.ledger))
     return 0
+
+
+class _BenchParser(argparse.ArgumentParser):
+    """``repro bench`` verbs: ``{files}`` in a description names the
+    gated BENCH files, read from :mod:`repro.obs.history` only when help
+    is shown, so building the parser imports no ``repro.obs``."""
+
+    def format_help(self) -> str:
+        from repro.obs.history import BENCH_SPECS
+
+        names = ["BENCH_{}.json".format(spec.name) for spec in BENCH_SPECS]
+        self.description = self.description.format(files=", ".join(names))
+        return super().format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1850,13 +1854,14 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark history: regression gates and ledger ingestion",
     )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
+    bench_sub = p_bench.add_subparsers(
+        dest="bench_command", required=True, parser_class=_BenchParser
+    )
     p_bcmp = bench_sub.add_parser(
         "compare",
         help="gate a fresh BENCH_*.json against a committed baseline",
-        description="Compare two benchmark payloads (BENCH_engine.json, "
-        "BENCH_faults.json, BENCH_arena.json or BENCH_shard.json). "
-        "Structural metrics "
+        description="Compare two benchmark payloads of one kind "
+        "({files}). Structural metrics "
         "(rounds, bits, messages, result identity) must match exactly; "
         "wall-clock metrics get configurable ratio gates. Exits 1 on "
         "any violation unless --warn-only.",
@@ -1897,6 +1902,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bing = bench_sub.add_parser(
         "ingest",
         help="append BENCH_*.json payload rows to the history ledger",
+        description="Append one history-ledger record per row of each "
+        "benchmark payload ({files}); other payloads are skipped.",
     )
     p_bing.add_argument("files", nargs="+", metavar="BENCH_JSON")
     p_bing.add_argument(

@@ -9,17 +9,13 @@ revision).  Two identical runs — same topology, same configuration,
 same code — therefore land under the same key, and a key whose metrics
 *change* is, by construction, a regression or an environment delta.
 
-Three record kinds share the ledger:
+Two families of record kinds share the ledger:
 
 * ``run`` — one protocol run (ingested from a pipeline result or from
   exported repro-metrics-v1 rows);
-* ``bench_engine`` — one row of ``BENCH_engine.json`` (per family × N);
-* ``bench_faults`` — the fault-layer overhead/recovery gates of
-  ``BENCH_faults.json``;
-* ``bench_arena`` — one row of ``BENCH_arena.json`` (per protocol ×
-  family × N league-table entry);
-* ``bench_shard`` — one row of ``BENCH_shard.json`` (per family × N ×
-  protocol × worker-count sharding configuration).
+* ``bench_<name>`` — one row of a gated ``BENCH_<name>.json`` payload,
+  one kind per :data:`BENCH_SPECS` entry (``bench_engine`` holds one
+  family × N row of ``BENCH_engine.json``, and so on).
 
 The registered protocol is part of every ``run`` record's config, so a
 ``hua-bc`` run and a ``cfp-bc`` run over the same graph land under
@@ -30,7 +26,8 @@ compare``: structural metrics (rounds, billed bits, messages,
 result-identity) must match **exactly** for an identical config — they
 are machine-independent — while wall-clock metrics get configurable
 ratio gates (speedup drop, slowdown factor) because timers are not
-portable across hosts.
+portable across hosts.  Each gated benchmark is one :class:`BenchSpec`
+entry: gating a new benchmark means adding an entry, not code.
 """
 
 from __future__ import annotations
@@ -41,20 +38,18 @@ import os
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
+    "BENCH_SPECS",
     "DEFAULT_HISTORY_PATH",
     "HISTORY_SCHEMA",
+    "BenchSpec",
     "HistoryLedger",
     "RegressionGates",
+    "RowTable",
     "Violation",
     "MAX_CHECKPOINT_OVERHEAD",
-    "compare_bench_arena",
-    "compare_bench_engine",
-    "compare_bench_faults",
-    "compare_bench_recovery",
-    "compare_bench_shard",
     "compare_payloads",
     "entry_from_result",
     "entry_from_rows",
@@ -299,206 +294,44 @@ class HistoryLedger:
     def __len__(self) -> int:
         return len(self.entries())
 
-    # ------------------------------------------------------------------
-    # benchmark ingestion
-    # ------------------------------------------------------------------
-    def ingest_bench_engine(
+    def ingest(
         self, payload: Dict[str, Any], git_rev: Optional[str] = None
     ) -> int:
-        """Append one record per BENCH_engine.json row; returns the count."""
-        engines = payload.get("engines", [])
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "engine_comparison",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "engines": list(engines),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_engine",
-                "key": run_key(
-                    "bench", ident, ",".join(engines), git_rev
-                ),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "identical_results", "bits", "messages",
-                "sweep_seconds", "event_seconds", "bulk_seconds",
-                "event_speedup", "bulk_speedup",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
+        """Append one record per row of a gated BENCH payload.
 
-    def ingest_bench_arena(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_arena.json row; returns the count.
-
-        Arena rows are keyed by (protocol, family, n) so each protocol's
-        league-table entry accumulates its own trajectory.
+        Returns the record count.  Raises ``ValueError`` when the
+        payload's ``benchmark`` marker names no :data:`BENCH_SPECS`
+        entry.
         """
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "protocol_arena",
-                "protocol": row.get("protocol"),
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_arena",
-                "key": run_key(
-                    "bench", ident, row.get("engine", "auto"), git_rev
-                ),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "engine", "rounds", "bits", "messages", "max_edge_bits",
-                "wall_seconds", "matches_brandes",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_faults(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append the fault-layer gate numbers; returns the record count."""
-        count = 0
-        disabled = payload.get("disabled_overhead")
-        if disabled:
-            ident = {
-                "benchmark": "fault_layer",
-                "gate": "disabled_overhead",
-                "graph": disabled.get("graph"),
-            }
-            entry = {
-                "kind": "bench_faults",
-                "key": run_key("bench", ident, "faults", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            entry.update(
-                {
-                    k: disabled.get(k)
-                    for k in ("overhead_ratio", "identical_results")
-                }
+        spec = _SPECS.get(payload.get("benchmark"))
+        if spec is None:
+            raise ValueError(
+                "unknown benchmark kind {!r}".format(payload.get("benchmark"))
             )
-            self.append(entry)
-            count += 1
-        recovery = payload.get("recovery_overhead", {})
-        for row in recovery.get("rows", ()):
-            ident = {
-                "benchmark": "fault_layer",
-                "gate": "recovery",
-                "graph": recovery.get("graph"),
-                "drop_rate": row.get("drop_rate"),
-            }
-            entry = {
-                "kind": "bench_faults",
-                "key": run_key("bench", ident, "faults", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            entry.update(
-                {
-                    k: row.get(k)
-                    for k in (
-                        "rounds", "round_overhead", "recovered_exactly",
-                        "complete", "seconds",
-                    )
+        recorded = (
+            spec.exact + tuple(flag for flag, _ in spec.flags)
+            + spec.speedups + spec.slowdowns + spec.ceilings + spec.extra
+        )
+        count = 0
+        for table in spec.tables:
+            holder, rows = _table_rows(payload, table)
+            for row in rows:
+                ident: Dict[str, Any] = {"benchmark": spec.benchmark}
+                if table.name:
+                    ident["gate"] = table.name
+                ident.update((key, row.get(key)) for key in table.ids)
+                ident.update((key, holder.get(key)) for key in spec.ident)
+                entry = {
+                    "kind": "bench_" + spec.name,
+                    "key": run_key(
+                        "bench", ident, spec.engine(holder, row), git_rev
+                    ),
+                    "git_rev": git_rev,
                 }
-            )
-            self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_shard(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_shard.json row; returns the count.
-
-        Rows are keyed by (family, n, protocol, workers, partitioner) so
-        each sharding configuration accumulates its own trajectory.
-        """
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "shard_runtime",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "protocol": row.get("protocol"),
-                "workers": row.get("workers"),
-                "partitioner": row.get("partitioner"),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_shard",
-                "key": run_key("bench", ident, "shard", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "bits", "messages", "identical_results",
-                "edge_cut", "cross_bits", "cross_messages",
-                "max_shard_ledger_words",
-                "event_seconds", "shard_seconds", "shard_cpu_seconds",
-                "projected_speedup",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_recovery(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_recovery.json row; returns the count.
-
-        Rows are keyed by (family, n, protocol, scenario) — a scenario
-        is one recovery path ("resume", "hang_respawn", "overhead", ...)
-        so each path's identity verdict and latency trend separately.
-        """
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "recovery",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "protocol": row.get("protocol"),
-                "scenario": row.get("scenario"),
-            }
-            entry = {
-                "kind": "bench_recovery",
-                "key": run_key("bench", ident, "shard", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "bits", "messages", "identical_after_resume",
-                "restarts", "checkpoints_written", "checkpoint_bytes",
-                "workers", "faults",
-                "uninterrupted_seconds", "supervised_seconds",
-                "overhead_fraction", "recovery_seconds",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
+                entry.update(ident)
+                entry.update((key, row[key]) for key in recorded if key in row)
+                self.append(entry)
+                count += 1
         return count
 
 
@@ -538,456 +371,185 @@ class RegressionGates:
     check_wall: bool = True
 
 
-_STRUCTURAL_KEYS = ("rounds", "bits", "messages")
-_SPEEDUP_KEYS = ("event_speedup", "bulk_speedup")
-_SECONDS_KEYS = ("sweep_seconds", "event_seconds", "bulk_seconds")
-
-
-def compare_bench_engine(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_engine payload against a baseline.
-
-    Rows are matched by (family, n); structural metrics must match
-    exactly, wall metrics within the configured ratios.  Returns
-    ``(violations, rows_compared)``.
-    """
-    def rows_by_id(payload):
-        return {
-            (row.get("family"), row.get("n")): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}".format(*ident)
-        for key in _STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("identical_results") and not cur.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: engines no longer produce identical results".format(
-                        label
-                    ),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        for key in _SPEEDUP_KEYS:
-            if key not in base or key not in cur:
-                continue
-            floor = base[key] * (1.0 - gates.max_speedup_drop)
-            if cur[key] < floor:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} dropped {:.0%}+: {:.2f}x -> {:.2f}x "
-                        "(floor {:.2f}x)".format(
-                            label, key, gates.max_speedup_drop,
-                            base[key], cur[key], floor,
-                        ),
-                        hard=False,
-                    )
-                )
-        for key in _SECONDS_KEYS:
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(set(base_rows) - set(cur_rows)):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}: baseline row missing from the current run".format(
-                    *ident
-                ),
-                hard=False,
-            )
-        )
-    return violations, compared
-
-
-def compare_bench_arena(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_arena payload against a baseline.
-
-    Rows are matched by (protocol, family, n).  Round/bit/message
-    totals are machine-independent facts of the protocol and must match
-    exactly; a row whose ``matches_brandes`` flag flips to False is a
-    correctness regression; wall clock gets the soft slowdown gate.
-    """
-    def rows_by_id(payload):
-        return {
-            (row.get("protocol"), row.get("family"), row.get("n")): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}/{}-{}".format(*ident)
-        for key in _STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("matches_brandes") and not cur.get(
-            "matches_brandes", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: protocol no longer matches Brandes".format(label),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        if base.get("wall_seconds") and cur.get("wall_seconds"):
-            ratio = cur["wall_seconds"] / base["wall_seconds"]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        "wall_seconds",
-                        "{}: slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, ratio, base["wall_seconds"],
-                            cur["wall_seconds"], gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(set(base_rows) - set(cur_rows)):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}/{}-{}: baseline row missing from the current "
-                "run".format(*ident),
-                hard=False,
-            )
-        )
-    return violations, compared
-
-
-def compare_bench_faults(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_faults payload against a baseline."""
-    violations: List[Violation] = []
-    compared = 0
-    base_d = baseline.get("disabled_overhead") or {}
-    cur_d = current.get("disabled_overhead") or {}
-    if base_d and cur_d:
-        compared += 1
-        if base_d.get("identical_results") and not cur_d.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "faults=None run no longer identical to the bare call",
-                )
-            )
-        if gates.check_wall and base_d.get("overhead_ratio") and cur_d.get(
-            "overhead_ratio"
-        ):
-            ratio = cur_d["overhead_ratio"] / base_d["overhead_ratio"]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        "overhead_ratio",
-                        "disabled-path overhead grew {:.2f}x over "
-                        "baseline".format(ratio),
-                        hard=False,
-                    )
-                )
-    base_rows = {
-        row.get("drop_rate"): row
-        for row in (baseline.get("recovery_overhead") or {}).get("rows", ())
-    }
-    cur_rows = {
-        row.get("drop_rate"): row
-        for row in (current.get("recovery_overhead") or {}).get("rows", ())
-    }
-    for rate in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[rate], cur_rows[rate]
-        if base.get("recovered_exactly") and not cur.get(
-            "recovered_exactly", True
-        ):
-            violations.append(
-                Violation(
-                    "recovery",
-                    "drop rate {}: recovery is no longer exact".format(rate),
-                )
-            )
-        if rate == 0.0 and "rounds" in base and "rounds" in cur:
-            if base["rounds"] != cur["rounds"]:
-                violations.append(
-                    Violation(
-                        "rounds",
-                        "drop rate 0.0: rounds changed {} -> {}".format(
-                            base["rounds"], cur["rounds"]
-                        ),
-                    )
-                )
-    return violations, compared
-
-
-_SHARD_STRUCTURAL_KEYS = (
-    "rounds", "bits", "messages", "edge_cut", "cross_bits",
-    "cross_messages",
-)
-
-
-def compare_bench_shard(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_shard payload against a baseline.
-
-    Rows are matched by (family, n, protocol, workers, partitioner).
-    Everything the wire determines — rounds, billed bits, messages,
-    the partition's edge cut and cross-shard traffic, and the
-    identical-to-event verdict — is a hard machine-independent gate;
-    wall-clock and projected-speedup figures get the usual soft ratio
-    gates (and are skipped entirely under ``check_wall=False``, the
-    right setting for this repo's single-core CI runners).
-    """
-    def rows_by_id(payload):
-        return {
-            (
-                row.get("family"), row.get("n"), row.get("protocol"),
-                row.get("workers"), row.get("partitioner"),
-            ): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(
-        set(base_rows) & set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}/{} W={} {}".format(*ident)
-        for key in _SHARD_STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("identical_results") and not cur.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: sharded run no longer bit-identical to the "
-                    "event engine".format(label),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        if (
-            "projected_speedup" in base
-            and "projected_speedup" in cur
-        ):
-            floor = base["projected_speedup"] * (1.0 - gates.max_speedup_drop)
-            if cur["projected_speedup"] < floor:
-                violations.append(
-                    Violation(
-                        "projected_speedup",
-                        "{}: projected speedup dropped {:.0%}+: "
-                        "{:.2f}x -> {:.2f}x (floor {:.2f}x)".format(
-                            label, gates.max_speedup_drop,
-                            base["projected_speedup"],
-                            cur["projected_speedup"], floor,
-                        ),
-                        hard=False,
-                    )
-                )
-        for key in ("event_seconds", "shard_seconds"):
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(
-        set(base_rows) - set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}/{} W={} {}: baseline row missing from the "
-                "current run".format(*ident),
-                hard=False,
-            )
-        )
-    return violations, compared
-
-
 #: Checkpoint overhead ceiling: a supervised run with checkpoints on
 #: may cost at most this fraction of wall time over the unsupervised
 #: run (the PR acceptance figure, enforced as a wall-clock gate).
 MAX_CHECKPOINT_OVERHEAD = 0.05
 
 
-def compare_bench_recovery(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_recovery payload against a baseline.
-
-    Rows are matched by (family, n, protocol, scenario).  Hard gates:
-    rounds/bits/messages are exact-match (recovery must be invisible in
-    every wire total), ``identical_after_resume`` must stay true, and
-    the restart count must replay exactly (fault plans are keyed
-    hashes, so a drifting restart count means the supervisor changed
-    behavior).  Soft wall gates: recovery latency ratio and the ≤ 5%
-    checkpoint overhead ceiling (:data:`MAX_CHECKPOINT_OVERHEAD`).
+@dataclass(frozen=True)
+class RowTable:
+    """One table of rows in a benchmark payload: ``ids`` are the row
+    keys that match a baseline row to a current one, ``path`` leads
+    from the payload to the rows (a dict there is a single row), and a
+    ``name`` labels the table in messages and in the ledger's ``gate``.
     """
-    def rows_by_id(payload):
-        return {
-            (
-                row.get("family"), row.get("n"), row.get("protocol"),
-                row.get("scenario"),
-            ): row
-            for row in payload.get("rows", ())
-        }
 
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(
-        set(base_rows) & set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}/{} [{}]".format(*ident)
-        for key in ("rounds", "bits", "messages", "restarts"):
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical recovery "
-                        "scenario: {} -> {}".format(
-                            label, key, base[key], cur[key]
-                        ),
-                    )
-                )
-        if base.get("identical_after_resume") and not cur.get(
-            "identical_after_resume", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: recovered run no longer bit-identical to the "
-                    "uninterrupted run".format(label),
-                )
-            )
-        if not gates.check_wall:
+    ids: Tuple[str, ...]
+    path: Tuple[str, ...] = ("rows",)
+    name: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class BenchSpec:
+    """How ``repro bench compare`` and the ledger read one payload:
+    ``BENCH_<name>.json``, whose ``benchmark`` marker picks the spec.
+
+    Hard gates on every matched row: each ``exact`` key is unchanged,
+    and no ``(flag, gate)`` flag flips from true to false.  Soft
+    wall-clock gates, skipped under ``check_wall=False``: ``speedups``
+    keys may drop by at most ``max_speedup_drop``, ``slowdowns`` keys
+    may grow by at most ``max_slowdown`` (:class:`RegressionGates`), and
+    ``ceilings`` keys may not exceed :data:`MAX_CHECKPOINT_OVERHEAD`.
+
+    The ledger's ``bench_<name>`` record of a row holds the gated keys
+    plus ``extra``, keyed by the row ids, the table name, the ``ident``
+    fields of the dict holding the rows, and the ``engine`` label
+    computed from that dict and the row.
+    """
+
+    name: str
+    benchmark: str
+    tables: Tuple[RowTable, ...]
+    engine: Callable[[Dict[str, Any], Dict[str, Any]], str]
+    exact: Tuple[str, ...] = ()
+    flags: Tuple[Tuple[str, str], ...] = ()
+    speedups: Tuple[str, ...] = ()
+    slowdowns: Tuple[str, ...] = ()
+    ceilings: Tuple[str, ...] = ()
+    extra: Tuple[str, ...] = ()
+    ident: Tuple[str, ...] = ()
+
+
+#: Every benchmark ``repro bench compare`` gates, in help-text order.
+BENCH_SPECS: Tuple[BenchSpec, ...] = (
+    BenchSpec(
+        "engine", "engine_comparison",
+        tables=(RowTable(("family", "n")),),
+        exact=("rounds", "bits", "messages"),
+        flags=(("identical_results", "identity"),),
+        speedups=("event_speedup", "bulk_speedup"),
+        slowdowns=("sweep_seconds", "event_seconds", "bulk_seconds"),
+        ident=("engines", "arithmetic"),
+        engine=lambda holder, row: ",".join(holder.get("engines") or ()),
+    ),
+    BenchSpec(
+        "faults", "fault_layer",
+        tables=(
+            RowTable((), ("disabled_overhead",), "disabled_overhead"),
+            RowTable(
+                ("drop_rate",), ("recovery_overhead", "rows"), "recovery"
+            ),
+        ),
+        exact=("rounds",),
+        flags=(
+            ("identical_results", "identity"),
+            ("recovered_exactly", "recovery"),
+        ),
+        slowdowns=("overhead_ratio",),
+        extra=("round_overhead", "complete", "seconds"),
+        ident=("graph",),
+        engine=lambda holder, row: "faults",
+    ),
+    BenchSpec(
+        "arena", "protocol_arena",
+        tables=(RowTable(("protocol", "family", "n")),),
+        exact=("rounds", "bits", "messages"),
+        flags=(("matches_brandes", "identity"),),
+        slowdowns=("wall_seconds",),
+        extra=("engine", "max_edge_bits"),
+        ident=("arithmetic",),
+        engine=lambda holder, row: row.get("engine", "auto"),
+    ),
+    BenchSpec(
+        "shard", "shard_runtime",
+        tables=(
+            RowTable(("family", "n", "protocol", "workers", "partitioner")),
+        ),
+        exact=(
+            "rounds", "bits", "messages", "edge_cut", "cross_bits",
+            "cross_messages",
+        ),
+        flags=(("identical_results", "identity"),),
+        speedups=("projected_speedup",),
+        slowdowns=("event_seconds", "shard_seconds"),
+        extra=("max_shard_ledger_words", "shard_cpu_seconds"),
+        ident=("arithmetic",),
+        engine=lambda holder, row: "shard",
+    ),
+    BenchSpec(
+        "recovery", "recovery",
+        tables=(RowTable(("family", "n", "protocol", "scenario")),),
+        # Fault plans are keyed hashes, so the restart count replays
+        # exactly: a drifting count means the supervisor changed.
+        exact=("rounds", "bits", "messages", "restarts"),
+        flags=(("identical_after_resume", "identity"),),
+        slowdowns=("recovery_seconds", "supervised_seconds"),
+        ceilings=("overhead_fraction",),
+        extra=(
+            "checkpoints_written", "checkpoint_bytes", "workers", "faults",
+            "uninterrupted_seconds",
+        ),
+        engine=lambda holder, row: "shard",
+    ),
+)
+
+_SPECS = {spec.benchmark: spec for spec in BENCH_SPECS}
+
+
+def _table_rows(payload: Dict[str, Any], table: RowTable):
+    """``(holder, rows)``: the dict holding the table's rows, and them."""
+    holder = payload
+    for key in table.path[:-1]:
+        holder = holder.get(key) or {}
+    rows = holder.get(table.path[-1]) or ()
+    if isinstance(rows, dict):
+        return rows, (rows,)
+    return holder, rows
+
+
+def _rows_by_id(payload: Dict[str, Any], table: RowTable):
+    return {
+        tuple(row.get(key) for key in table.ids): row
+        for row in _table_rows(payload, table)[1]
+    }
+
+
+def _row_verdicts(spec, base, cur, gates):
+    """``(gate, hard, detail)`` for each gate a matched row fails."""
+    for key in spec.exact:
+        if key in base and key in cur and base[key] != cur[key]:
+            yield key, True, "{} changed for an identical config: " \
+                "{} -> {}".format(key, base[key], cur[key])
+    for flag, gate in spec.flags:
+        if base.get(flag) and not cur.get(flag, True):
+            yield gate, True, "{} is no longer true".format(flag)
+    if not gates.check_wall:
+        return
+    for key in spec.speedups:
+        if key not in base or key not in cur:
             continue
-        if "overhead_fraction" in cur and (
-            cur["overhead_fraction"] > MAX_CHECKPOINT_OVERHEAD
-        ):
-            violations.append(
-                Violation(
-                    "overhead_fraction",
-                    "{}: checkpointing costs {:.1%} of wall time "
-                    "(ceiling {:.0%})".format(
-                        label, cur["overhead_fraction"],
-                        MAX_CHECKPOINT_OVERHEAD,
-                    ),
-                    hard=False,
+        floor = base[key] * (1.0 - gates.max_speedup_drop)
+        if cur[key] < floor:
+            yield key, False, "{} dropped {:.0%}+: {:.2f}x -> {:.2f}x " \
+                "(floor {:.2f}x)".format(
+                    key, gates.max_speedup_drop, base[key], cur[key], floor
                 )
-            )
-        for key in ("recovery_seconds", "supervised_seconds"):
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
+    for key in spec.slowdowns:
+        if not base.get(key) or not cur.get(key):
+            continue
+        ratio = cur[key] / base[key]
+        if ratio > gates.max_slowdown:
+            yield key, False, "{} slowed {:.2f}x over baseline " \
+                "({} -> {}; gate {:.2f}x)".format(
+                    key, ratio, base[key], cur[key], gates.max_slowdown
                 )
-    for ident in sorted(
-        set(base_rows) - set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}/{} [{}]: baseline row missing from the current "
-                "run".format(*ident),
-                hard=False,
-            )
-        )
-    return violations, compared
+    for key in spec.ceilings:
+        if cur.get(key, 0) > MAX_CHECKPOINT_OVERHEAD:
+            yield key, False, "{} is {:.1%} of wall time " \
+                "(ceiling {:.0%})".format(
+                    key, cur[key], MAX_CHECKPOINT_OVERHEAD
+                )
 
 
 def compare_payloads(
@@ -995,31 +557,43 @@ def compare_payloads(
     current: Dict[str, Any],
     gates: RegressionGates = RegressionGates(),
 ) -> Tuple[List[Violation], int]:
-    """Dispatch on the payload's ``benchmark`` marker."""
+    """Gate a fresh BENCH payload against a baseline of the same kind.
+
+    The payloads' ``benchmark`` marker picks the :data:`BENCH_SPECS`
+    entry.  A baseline row the current run lacks is a soft ``coverage``
+    gap, even under ``check_wall=False``.  Returns ``(violations,
+    rows_compared)``.
+    """
     kind_b = baseline.get("benchmark")
     kind_c = current.get("benchmark")
     if kind_b != kind_c:
-        return (
-            [
-                Violation(
-                    "schema",
-                    "payload kinds differ: baseline {!r} vs current "
-                    "{!r}".format(kind_b, kind_c),
-                )
-            ],
-            0,
-        )
-    if kind_b == "engine_comparison":
-        return compare_bench_engine(baseline, current, gates)
-    if kind_b == "fault_layer":
-        return compare_bench_faults(baseline, current, gates)
-    if kind_b == "protocol_arena":
-        return compare_bench_arena(baseline, current, gates)
-    if kind_b == "shard_runtime":
-        return compare_bench_shard(baseline, current, gates)
-    if kind_b == "recovery":
-        return compare_bench_recovery(baseline, current, gates)
-    return (
-        [Violation("schema", "unknown benchmark kind {!r}".format(kind_b))],
-        0,
-    )
+        return [Violation("schema", "payload kinds differ: baseline {!r} "
+                          "vs current {!r}".format(kind_b, kind_c))], 0
+    spec = _SPECS.get(kind_b)
+    if spec is None:
+        return [Violation(
+            "schema", "unknown benchmark kind {!r}".format(kind_b)
+        )], 0
+    violations: List[Violation] = []
+    compared = 0
+    for table in spec.tables:
+        cur_rows = _rows_by_id(current, table)
+        for ident, base in _rows_by_id(baseline, table).items():
+            label = " ".join(
+                ([table.name] if table.name else [])
+                + ["{}={}".format(*pair) for pair in zip(table.ids, ident)]
+            )
+            cur = cur_rows.get(ident)
+            if cur is None:
+                verdicts: Iterable[Tuple[str, bool, str]] = [(
+                    "coverage", False,
+                    "baseline row missing from the current run",
+                )]
+            else:
+                compared += 1
+                verdicts = _row_verdicts(spec, base, cur, gates)
+            violations.extend(
+                Violation(gate, "{}: {}".format(label, detail), hard)
+                for gate, hard, detail in verdicts
+            )
+    return violations, compared

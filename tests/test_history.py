@@ -10,6 +10,9 @@ exactly; wall-clock ratios get configurable headroom.
 """
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.core import distributed_betweenness
@@ -22,6 +25,7 @@ from repro.obs import (
     graph_fingerprint,
     run_key,
 )
+from repro.obs.history import BENCH_SPECS
 
 CONFIG = {"arithmetic": "lfloat", "strict": True}
 
@@ -140,7 +144,7 @@ class TestLedger:
 
     def test_bench_ingestion(self, tmp_path):
         ledger = HistoryLedger(tmp_path / "history.jsonl")
-        count = ledger.ingest_bench_engine(engine_payload(), git_rev="abc")
+        count = ledger.ingest(engine_payload(), git_rev="abc")
         assert count == 1
         entry = ledger.entries(kind="bench_engine")[0]
         assert entry["rounds"] == 1206
@@ -202,6 +206,25 @@ class TestRegressionGates:
         )
         assert violations
         assert all(v.hard for v in violations)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rounds", 1213),
+            ("identical_results", False),
+            ("bulk_speedup", 5.0),
+            ("event_seconds", 3.0),
+        ],
+    )
+    def test_message_names_row_and_key(self, key, value):
+        violations, _ = compare_payloads(
+            engine_payload(), engine_payload(**{key: value})
+        )
+        assert len(violations) == 1
+        assert all(
+            part in violations[0].message
+            for part in ("family=cycle", "n=400", key)
+        )
 
     def test_mismatched_benchmark_kind_is_a_schema_violation(self):
         violations, compared = compare_payloads(
@@ -270,3 +293,61 @@ class TestCliBench:
             "bench", "ingest", payload, "--ledger", str(ledger_path)
         ) == 0
         assert len(HistoryLedger(ledger_path)) == 1
+
+    def test_compare_ledger_skips_unknown_kind(self, tmp_path, capsys):
+        payload = self._write(tmp_path, "cs.json", {"benchmark": "coldstart"})
+        ledger_path = tmp_path / "history.jsonl"
+        self.run(
+            "bench", "compare", payload, payload, "--ledger", str(ledger_path)
+        )
+        out = capsys.readouterr().out
+        assert "current payload not recorded: unknown benchmark kind" in out
+        assert not ledger_path.exists()
+
+    @pytest.mark.parametrize("verb", ["compare", "ingest"])
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", "[1, 2]"],
+        ids=["missing", "not-json", "list"],
+    )
+    def test_unreadable_payload_exits_with_message(
+        self, tmp_path, verb, content
+    ):
+        path = tmp_path / "bench.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["bench", verb, str(path)]
+        if verb == "compare":
+            argv.append(str(path))
+        else:
+            argv += ["--ledger", str(tmp_path / "history.jsonl")]
+        with pytest.raises(SystemExit) as exit:
+            self.run(*argv)
+        assert str(exit.value.code).startswith("cannot read {}: ".format(path))
+
+    @pytest.mark.parametrize("verb", ["compare", "ingest"])
+    def test_help_names_every_gated_file(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            self.run("bench", verb, "--help")
+        help_text = " ".join(capsys.readouterr().out.split())
+        for spec in BENCH_SPECS:
+            assert "BENCH_{}.json".format(spec.name) in help_text
+
+
+def test_observability_doc_lists_every_gate():
+    """docs/observability.md has one gate-table line per spec entry,
+    naming each key the spec gates."""
+    doc = (
+        Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+    ).read_text(encoding="utf-8")
+    lines = doc.splitlines()
+    for spec in BENCH_SPECS:
+        prefix = "| `BENCH_{}.json`".format(spec.name)
+        (line,) = [ln for ln in lines if ln.startswith(prefix)]
+        keys = (
+            [key for table in spec.tables for key in table.ids]
+            + list(spec.exact) + [flag for flag, _ in spec.flags]
+            + list(spec.speedups) + list(spec.slowdowns)
+            + list(spec.ceilings)
+        )
+        for key in keys:
+            assert "`{}`".format(key) in line, (spec.name, key)

@@ -430,7 +430,7 @@ class TestShardObservability:
             ],
         }
         ledger = HistoryLedger(tmp_path / "ledger.jsonl")
-        assert ledger.ingest_bench_shard(payload) == 1
+        assert ledger.ingest(payload) == 1
         ok, _ = compare_payloads(payload, payload)
         assert ok == []
         broken = {
