@@ -274,6 +274,18 @@ class CheckpointPause(CongestError):
         )
 
 
+class SupervisionConfigError(ReproError, ValueError):
+    """A shard supervision setting is out of range.
+
+    Raised by :class:`~repro.shard.supervisor.SupervisionConfig`, and so
+    by the ``--heartbeat-timeout``, ``--max-restarts`` and
+    ``--checkpoint-*`` flags: a heartbeat timeout that is not positive,
+    a negative restart budget, interval or backoff, checkpointing
+    without a directory, or fewer than two kept snapshots.  It is also
+    a ``ValueError``, so code that catches that keeps working.
+    """
+
+
 class InvariantViolationError(CongestError):
     """A telemetry monitor observed a violated runtime invariant.
 

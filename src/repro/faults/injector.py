@@ -19,11 +19,15 @@ Determinism
 -----------
 Every probabilistic decision is a pure function of ``(plan.seed, fault
 kind, send round, sender, receiver, per-edge message index)`` hashed
-through BLAKE2b — no consumed RNG stream.  Since both simulator engines
-present the identical send sequence (same rounds, same per-edge order),
-the injected faults are identical under ``engine="sweep"`` and
-``engine="event"``, which is what makes fault runs differentially
-testable at all.
+through BLAKE2b — no consumed RNG stream.  The hashed bytes are
+``kind:round:sender:receiver:index`` under the seed as key; the
+per-send decisions take them from one keyed state per kind that has
+already absorbed ``kind:``, which yields the same digest as hashing
+the whole string in one shot (:meth:`FaultInjector._unit`).  Since
+both simulator engines present the identical send sequence (same
+rounds, same per-edge order), the injected faults are identical under
+``engine="sweep"`` and ``engine="event"``, which is what makes fault
+runs differentially testable at all.
 
 Corruption
 ----------
@@ -133,6 +137,13 @@ class FaultInjector:
         self.tracer = tracer
         self.stats = FaultStats()
         self._key = plan.seed.to_bytes(8, "big", signed=True)
+        #: Keyed hash state per per-send decision kind, already fed
+        #: ``b"<kind>:"``; None when the plan's rate is zero.  Derived
+        #: from the plan alone, so checkpoints never store them.
+        self._drop_draw = self._prefix("drop", plan.drop_rate)
+        self._corrupt_draw = self._prefix("corrupt", plan.corrupt_rate)
+        self._delay_draw = self._prefix("delay", plan.delay_rate)
+        self._dup_draw = self._prefix("dup", plan.duplicate_rate)
         #: per directed edge: messages ever sent (the decision index).
         self._edge_seq: Dict[Tuple[int, int], int] = {}
         #: node -> sorted crash windows.
@@ -172,6 +183,15 @@ class FaultInjector:
             key=self._key,
         ).digest()
         return int.from_bytes(digest, "big") / _UNIT_SCALE
+
+    def _prefix(self, kind: str, rate: float):
+        """The keyed hash state that has absorbed ``kind:``, or None
+        when ``rate`` never fires."""
+        if rate <= 0.0:
+            return None
+        state = hashlib.blake2b(digest_size=8, key=self._key)
+        state.update(kind.encode("ascii") + b":")
+        return state
 
     def _span(
         self,
@@ -268,58 +288,74 @@ class FaultInjector:
         key = (sender, receiver)
         index = self._edge_seq.get(key, 0)
         self._edge_seq[key] = index + 1
-        if self._counts_as_progress(message):
+        # Only fresh traffic is progress: retransmissions and acks (which
+        # set ``fault_progress`` False) keep a dead protocol *looking*
+        # busy forever.
+        if getattr(message, "fault_progress", True):
             self.last_progress_round = round_number
         if self._outages and self._link_down(sender, receiver, round_number):
             self.stats.link_dropped += 1
             self._trace(round_number, "link_down", sender, receiver)
             return []
-        if plan.drop_rate > 0.0 and (
-            self._unit("drop", round_number, sender, receiver, index)
-            < plan.drop_rate
-        ):
-            self.stats.dropped += 1
-            self._trace(round_number, "drop", sender, receiver)
-            return []
-        if plan.corrupt_rate > 0.0 and (
-            self._unit("corrupt", round_number, sender, receiver, index)
-            < plan.corrupt_rate
-        ):
-            message = self._corrupt(round_number, sender, receiver, index, message)
-            if message is None:
+        # Each draw below hashes ``kind:`` + this tail, exactly the
+        # bytes _unit hashes in one shot.
+        tail = b"%d:%d:%d:%d" % (round_number, sender, receiver, index)
+        if self._drop_draw is not None:
+            draw = self._drop_draw.copy()
+            draw.update(tail)
+            if int.from_bytes(draw.digest(), "big") / _UNIT_SCALE < (
+                plan.drop_rate
+            ):
+                self.stats.dropped += 1
+                self._trace(round_number, "drop", sender, receiver)
                 return []
+        if self._corrupt_draw is not None:
+            draw = self._corrupt_draw.copy()
+            draw.update(tail)
+            if int.from_bytes(draw.digest(), "big") / _UNIT_SCALE < (
+                plan.corrupt_rate
+            ):
+                message = self._corrupt(
+                    round_number, sender, receiver, index, message
+                )
+                if message is None:
+                    return []
         delivery_round = round_number + 1
-        if plan.delay_rate > 0.0 and (
-            self._unit("delay", round_number, sender, receiver, index)
-            < plan.delay_rate
-        ):
-            extra = self._span(
-                "delay_span", round_number, sender, receiver, index,
-                plan.max_delay,
-            )
-            delivery_round += extra
-            self.stats.delayed += 1
-            self._trace(round_number, "delay", sender, receiver)
+        if self._delay_draw is not None:
+            draw = self._delay_draw.copy()
+            draw.update(tail)
+            if int.from_bytes(draw.digest(), "big") / _UNIT_SCALE < (
+                plan.delay_rate
+            ):
+                delivery_round += self._span(
+                    "delay_span", round_number, sender, receiver, index,
+                    plan.max_delay,
+                )
+                self.stats.delayed += 1
+                self._trace(round_number, "delay", sender, receiver)
+        crashes = self._crash_windows
         outcomes = []
-        if not self.node_crashed(receiver, delivery_round):
+        if not crashes or not self.node_crashed(receiver, delivery_round):
             outcomes.append((delivery_round, message))
         else:
             self.stats.crash_dropped += 1
             self._trace(round_number, "crash_drop", sender, receiver)
-        if plan.duplicate_rate > 0.0 and (
-            self._unit("dup", round_number, sender, receiver, index)
-            < plan.duplicate_rate
-        ):
-            dup_round = round_number + 1 + self._span(
-                "dup_span", round_number, sender, receiver, index,
-                plan.max_delay,
-            )
-            self.stats.duplicated += 1
-            self._trace(round_number, "duplicate", sender, receiver)
-            if not self.node_crashed(receiver, dup_round):
-                outcomes.append((dup_round, message))
-            else:
-                self.stats.crash_dropped += 1
+        if self._dup_draw is not None:
+            draw = self._dup_draw.copy()
+            draw.update(tail)
+            if int.from_bytes(draw.digest(), "big") / _UNIT_SCALE < (
+                plan.duplicate_rate
+            ):
+                dup_round = round_number + 1 + self._span(
+                    "dup_span", round_number, sender, receiver, index,
+                    plan.max_delay,
+                )
+                self.stats.duplicated += 1
+                self._trace(round_number, "duplicate", sender, receiver)
+                if not crashes or not self.node_crashed(receiver, dup_round):
+                    outcomes.append((dup_round, message))
+                else:
+                    self.stats.crash_dropped += 1
         return outcomes
 
     def _corrupt(
@@ -388,16 +424,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # crash-aware termination detection
     # ------------------------------------------------------------------
-    @staticmethod
-    def _counts_as_progress(message: Message) -> bool:
-        """Fresh protocol traffic vs. recovery traffic.
-
-        Retransmissions and acknowledgements (transport messages that
-        set ``fault_progress`` False) keep a dead protocol *looking*
-        busy forever; only first-transmission data counts as progress.
-        """
-        return getattr(message, "fault_progress", True)
-
     def check_stalled(self, round_number: int, simulator) -> None:
         """Raise :class:`SimulationStalledError` on a starved run.
 

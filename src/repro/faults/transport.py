@@ -101,6 +101,7 @@ class Envelope(Message):
         self.inner_round = inner_round
         self.retransmit = retransmit
         self.inner_message = inner_message
+        self._bit_cache = None
 
     def payload_bits(self, wire: WireFormat) -> int:
         return (
@@ -155,6 +156,13 @@ class Fence(Message):
         self.count = count
         self.done = done
         self.retransmit = retransmit
+        self._bit_cache = None
+
+    def payload_bits(self, wire: WireFormat) -> int:
+        # Closed form of WIRE_LAYOUT: two varints, a round, two flags.
+        return (
+            uint_bits(self.seq) + wire.round_bits + uint_bits(self.count) + 2
+        )
 
     @property
     def fault_progress(self) -> bool:
@@ -178,6 +186,11 @@ class Ack(Message):
 
     def __init__(self, upto: int):
         self.upto = upto
+        self._bit_cache = None
+
+    def payload_bits(self, wire: WireFormat) -> int:
+        # Closed form of WIRE_LAYOUT: one varint.
+        return uint_bits(self.upto)
 
     def __repr__(self) -> str:
         return "Ack(upto={})".format(self.upto)
@@ -257,14 +270,6 @@ class _Channel:
             self.ooo.add(seq)
         return True
 
-    def fenced(self, inner_round: int) -> bool:
-        """Whether the peer's ``inner_round`` is complete (see module doc)."""
-        count = self.fence_counts.get(inner_round)
-        if count is not None:
-            return len(self.data.get(inner_round, ())) == count
-        done_round = self.done_round
-        return done_round is not None and inner_round > done_round
-
     # -- outbound --------------------------------------------------------
     def enqueue(self, kind: str, inner_round: int, payload) -> None:
         seq = self.next_seq
@@ -272,8 +277,14 @@ class _Channel:
         self.pending[seq] = _Pending(seq, kind, inner_round, payload)
 
     def acknowledge(self, upto: int) -> None:
-        for seq in [s for s in self.pending if s <= upto]:
-            del self.pending[seq]
+        # Acks are cumulative and ``pending`` is seq ordered, so the
+        # acknowledged frames are a prefix of it.
+        pending = self.pending
+        while pending:
+            seq = next(iter(pending))
+            if seq > upto:
+                return
+            del pending[seq]
 
 
 class ResilientNode(NodeAlgorithm):
@@ -328,24 +339,25 @@ class ResilientNode(NodeAlgorithm):
                         type(message).__name__
                     )
                 )
-        # 2. advance the logical clock by at most one round.
-        if not self._started:
+        # 2. advance the logical clock by at most one round.  Round 0
+        # needs no fences; steps 3-5 change nothing that ``ready`` reads.
+        ready = not self._started or self._can_advance()
+        if ready:
             self._started = True
-            self._execute_inner_round(ctx, 0)
-        elif self._fences_complete(self.inner_round - 1) and (
-            not self.inner.done or self._has_backlog()
-        ):
             self._execute_inner_round(ctx, self.inner_round)
+            ready = self._can_advance()
         # 3. transmissions: fresh frames, expired retransmissions, acks.
         next_wake: Optional[int] = None
         for peer in self._sorted_peers:
             channel = channels[peer]
             burst = 0
             for pending in channel.pending.values():
-                if pending.next_retry is None:
+                next_retry = pending.next_retry
+                if next_retry is None:
                     ctx.send(peer, pending.build(retransmit=False))
-                    pending.next_retry = round_number + pending.interval
-                elif pending.next_retry <= round_number:
+                    next_retry = round_number + pending.interval
+                    pending.next_retry = next_retry
+                elif next_retry <= round_number:
                     if burst < RETRANSMIT_BURST:
                         burst += 1
                         channel.retransmissions += 1
@@ -353,13 +365,15 @@ class ResilientNode(NodeAlgorithm):
                         pending.interval = min(
                             pending.interval * 2, RETRY_INTERVAL_CAP
                         )
-                    # Unsent expired frames retry next round (the burst
-                    # cap keeps the recovery traffic inside the budget).
-                    pending.next_retry = round_number + (
-                        pending.interval if burst else 1
-                    )
-                if next_wake is None or pending.next_retry < next_wake:
-                    next_wake = pending.next_retry
+                        next_retry = round_number + pending.interval
+                    else:
+                        # The burst cap keeps recovery traffic inside
+                        # the budget; a frame it skipped retries next
+                        # round.
+                        next_retry = round_number + 1
+                    pending.next_retry = next_retry
+                if next_wake is None or next_retry < next_wake:
+                    next_wake = next_retry
             if channel.arrived:
                 channel.arrived = False
                 # Nothing to acknowledge while only out-of-order frames
@@ -369,11 +383,8 @@ class ResilientNode(NodeAlgorithm):
                     ctx.send(peer, Ack(channel.frontier))
         # 4. wake scheduling (event engine): earliest retransmit timer,
         # or the immediately-next round when more backlog is executable.
-        if self._fences_complete(self.inner_round - 1) and (
-            not self.inner.done or self._has_backlog()
-        ):
-            if next_wake is None or round_number + 1 < next_wake:
-                next_wake = round_number + 1
+        if ready and (next_wake is None or round_number + 1 < next_wake):
+            next_wake = round_number + 1
         if next_wake is not None and next_wake > round_number:
             ctx.wake_at(next_wake)
         # 5. global completion: inner finished, promise announced, every
@@ -386,15 +397,34 @@ class ResilientNode(NodeAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    def _fences_complete(self, inner_round: int) -> bool:
-        if inner_round < 0:
-            return True
-        return all(
-            channel.fenced(inner_round) for channel in self.channels.values()
+    def _can_advance(self) -> bool:
+        """Whether the next logical round may execute: the previous one
+        is complete on every link and the inner node has work left."""
+        return self._fences_complete(self.inner_round - 1) and (
+            not self.inner.done or self._has_backlog()
         )
 
+    def _fences_complete(self, inner_round: int) -> bool:
+        """Whether every peer's ``inner_round`` is complete: its fence
+        arrived with all the data it announced, or an earlier done
+        fence covers it (see module doc)."""
+        if inner_round < 0:
+            return True
+        for channel in self.channels.values():
+            count = channel.fence_counts.get(inner_round)
+            if count is None:
+                done_round = channel.done_round
+                if done_round is None or inner_round <= done_round:
+                    return False
+            elif len(channel.data.get(inner_round, ())) != count:
+                return False
+        return True
+
     def _has_backlog(self) -> bool:
-        return any(channel.data for channel in self.channels.values())
+        for channel in self.channels.values():
+            if channel.data:
+                return True
+        return False
 
     def _execute_inner_round(self, ctx: RoundContext, round_number: int) -> None:
         """Run one logical round of the inner protocol.

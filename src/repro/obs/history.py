@@ -441,7 +441,7 @@ BENCH_SPECS: Tuple[BenchSpec, ...] = (
                 ("drop_rate",), ("recovery_overhead", "rows"), "recovery"
             ),
         ),
-        exact=("rounds",),
+        exact=("rounds", "dropped"),
         flags=(
             ("identical_results", "identity"),
             ("recovered_exactly", "recovery"),

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.exceptions import SupervisionConfigError
+
 #: Default watchdog patience.  Generous on purpose: a false positive
 #: (killing a merely slow worker) costs a rollback replay, while a true
 #: hang is unrecoverable without us, so the default only has to beat
@@ -117,22 +119,24 @@ class SupervisionConfig:
 
     def __post_init__(self):
         if self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be > 0 seconds")
+            raise SupervisionConfigError(
+                "heartbeat_timeout must be > 0 seconds"
+            )
         if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+            raise SupervisionConfigError("max_restarts must be >= 0")
         if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+            raise SupervisionConfigError("checkpoint_every must be >= 0")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
-            raise ValueError(
+            raise SupervisionConfigError(
                 "checkpoint_every > 0 needs a checkpoint_dir to write to"
             )
         if self.keep_checkpoints < 2:
-            raise ValueError(
+            raise SupervisionConfigError(
                 "keep_checkpoints must be >= 2 (a corrupt newest snapshot "
                 "needs a fallback)"
             )
         if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff values must be >= 0")
+            raise SupervisionConfigError("backoff values must be >= 0")
 
     @property
     def checkpoints_enabled(self) -> bool:

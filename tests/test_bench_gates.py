@@ -47,9 +47,9 @@ GATES = {
         ),
         dict(
             path=("recovery_overhead", "rows"), ids=("drop_rate",),
-            exact=("rounds",),
+            exact=("rounds", "dropped"),
             flags={"recovered_exactly": "recovery"},
-            ungated=("round_overhead", "dropped", "seconds"),
+            ungated=("round_overhead", "seconds"),
         ),
     ]),
     "arena": (12, [
@@ -104,8 +104,8 @@ LEDGER_PINS = {
         (0, "5c9c6e8510faa870",
          "gate graph identical_results overhead_ratio"),
         (2, "9cc2ac3e652bc523",
-         "complete drop_rate gate graph recovered_exactly round_overhead "
-         "rounds seconds"),
+         "complete drop_rate dropped gate graph recovered_exactly "
+         "round_overhead rounds seconds"),
     ]),
     "arena": ("bench_arena", 12, [
         (0, "271d72cab786a364",

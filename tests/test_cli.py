@@ -74,6 +74,26 @@ class TestCommands:
         assert err.startswith("error: root ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("chaos", "--graph", "cycle:8", "--engine", "shard",
+              "--workers", "2", "--checkpoint-every", "50"),
+             "needs a checkpoint_dir"),
+            (("bc", "--graph", "cycle:8", "--heartbeat-timeout", "0"),
+             "heartbeat_timeout must be > 0"),
+            (("bc", "--graph", "cycle:8", "--checkpoint-every", "-1"),
+             "checkpoint_every must be >= 0"),
+        ],
+        ids=["checkpoint-without-dir", "heartbeat-zero", "negative-every"],
+    )
+    def test_bad_supervision_flags_report_error(self, argv, reason, capsys):
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reason in err
+        assert len(err.splitlines()) == 1
+
     def test_apsp(self, capsys):
         assert self.run("apsp", "--graph", "star:6") == 0
         assert "closeness" in capsys.readouterr().out

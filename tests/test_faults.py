@@ -16,6 +16,8 @@ Four claims are under test, mirroring ``docs/fault-model.md``:
    a Brandes restricted to the surviving sources.
 """
 
+import hashlib
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -48,11 +50,13 @@ from repro.graphs import (
 )
 from repro.wire import (
     CHECKSUM_BITS,
+    IntMessage,
     WireFormat,
     decode_frame_checked,
     encode_frame,
     encode_frame_checked,
     frame_checksum,
+    layout_bits,
 )
 
 
@@ -76,6 +80,19 @@ def _fingerprint(result):
         "round_series": result.stats.round_series,
         "worst_edge": result.stats.worst_edge,
     }
+
+
+def _reference_unit(seed, kind, round_number, sender, receiver, index):
+    """The fault schedule's draw, hashed in one shot: the keyed BLAKE2b
+    of ``kind:round:sender:receiver:index`` mapped to [0, 1)."""
+    digest = hashlib.blake2b(
+        "{}:{}:{}:{}:{}".format(
+            kind, round_number, sender, receiver, index
+        ).encode("ascii"),
+        digest_size=8,
+        key=seed.to_bytes(8, "big", signed=True),
+    ).digest()
+    return int.from_bytes(digest, "big") / 2**64
 
 
 def _brandes_subset(graph, sources):
@@ -298,6 +315,70 @@ class TestDeterminism:
             a.stats.faults.as_dict() != b.stats.faults.as_dict()
             or a.rounds != b.rounds
         )
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
+    def test_draws_match_one_shot_reference(self, seed):
+        """Every draw kind the injector takes equals the one-shot hash,
+        so the fault schedule is pinned, not just repeatable."""
+        plan = FaultPlan(
+            seed=seed,
+            drop_rate=0.25,
+            corrupt_rate=0.25,
+            delay_rate=0.5,
+            duplicate_rate=0.5,
+            max_delay=7,
+        )
+        injector = FaultInjector(plan)
+        rng = random.Random(seed)
+        message = IntMessage(1)
+        kinds = ("drop", "corrupt", "delay", "dup", "delay_span", "dup_span")
+        for _ in range(2000):
+            site = (
+                rng.randrange(5000),
+                rng.randrange(400),
+                rng.randrange(400),
+                rng.randrange(1000),
+            )
+            draw = {
+                kind: _reference_unit(seed, kind, *site)
+                for kind in kinds + ("corrupt_bit0", "corrupt_bit1")
+            }
+            for kind, value in draw.items():
+                assert injector._unit(kind, *site) == value
+            round_number, sender, receiver, index = site
+            injector._edge_seq[(sender, receiver)] = index
+            # Unbound (no wire), so a corrupted frame is a detected loss.
+            expected = []
+            if draw["drop"] >= 0.25 and draw["corrupt"] >= 0.25:
+                due = round_number + 1
+                if draw["delay"] < 0.5:
+                    due += 1 + int(draw["delay_span"] * 7) % 7
+                expected.append((due, message))
+                if draw["dup"] < 0.5:
+                    expected.append(
+                        (round_number + 2 + int(draw["dup_span"] * 7) % 7,
+                         message)
+                    )
+            assert injector.deliveries(
+                round_number, sender, receiver, message
+            ) == expected
+        stats = injector.stats
+        assert min(
+            stats.dropped, stats.corrupted_detected, stats.delayed,
+            stats.duplicated,
+        ) > 0
+
+    def test_seeded_run_matches_committed_bench_row(self):
+        """The drop-0.05 recovery row of BENCH_faults.json."""
+        result = distributed_betweenness(
+            connected_erdos_renyi_graph(16, 0.25, seed=2),
+            arithmetic="exact",
+            engine="event",
+            faults=FaultPlan(seed=7, drop_rate=0.05),
+            resilient=True,
+        )
+        assert result.rounds == 511
+        assert result.stats.faults.dropped == 894
 
 
 # ----------------------------------------------------------------------
@@ -545,6 +626,56 @@ class TestResilientTransport:
         # (the 4-bit registry is full), so they cannot be framed.
         assert type(envelope).wire_tag is None
         assert type(ack).wire_tag is None
+
+    def test_fence_and_ack_sizes_match_layout(self):
+        """The closed-form payload sizes equal the WIRE_LAYOUT width."""
+        values = (0, 1, 2, 3, 7, 8, 100, 1023, 1024, 10**6)
+        for num_nodes in (2, 16, 400):
+            wire = WireFormat(num_nodes=num_nodes)
+            for seq in values:
+                ack = Ack(seq)
+                assert ack.payload_bits(wire) == layout_bits(ack, wire)
+                for count in values:
+                    for done in (False, True):
+                        fence = Fence(seq, count % 50, count, done, not done)
+                        assert fence.payload_bits(wire) == layout_bits(
+                            fence, wire
+                        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_burst_capped_frames_retry_next_round(self, engine):
+        """Frames the retransmission burst cap skips go out one round
+        later, not one full retry interval later."""
+        from repro.congest import Simulator, Tracer
+        from repro.congest.node import NodeAlgorithm
+
+        class FourToOne(NodeAlgorithm):
+            def on_round(self, ctx, inbox):
+                if self.node_id == 0 and ctx.round_number == 0:
+                    for value in range(4):
+                        ctx.send(1, IntMessage(value))
+                self.done = True
+
+        tracer = Tracer()
+        Simulator(
+            path_graph(2),
+            make_resilient_factory(FourToOne),
+            engine=engine,
+            faults=FaultPlan(seed=0, link_outages=(LinkOutage(0, 1, 0, 1),)),
+            tracer=tracer,
+        ).run()
+        sent = [
+            (event.round_number, event.message_type)
+            for event in tracer.deliveries()
+            if event.sender == 0
+        ]
+        # Round 0 is lost to the outage.  At round 4 all five frames
+        # are due; RETRANSMIT_BURST = 3 of them go, the other two next.
+        assert sent == (
+            [(0, "Envelope")] * 4 + [(0, "Fence")]
+            + [(4, "Envelope")] * 3
+            + [(5, "Envelope"), (5, "Fence"), (5, "Ack")]
+        )
 
     def test_resilient_budget_is_scaled(self):
         from repro.congest.simulator import DEFAULT_CONGEST_FACTOR
