@@ -57,7 +57,6 @@ one outer loop in :meth:`Simulator.run`:
 
 from __future__ import annotations
 
-import gc
 from typing import Iterable, List, Optional, Tuple
 
 from repro.congest.kernel import RoundKernel
@@ -159,13 +158,6 @@ class Simulator:
         class (``None`` for unregistered custom algorithms).  The
         engine dispatcher, the progress estimator and the telemetry
         metadata consult it instead of probing for the stock node.
-    gc_pause:
-        Pause the cyclic garbage collector for the duration of the
-        run.  Off by default — the array-backed ledger removed the
-        Theta(N^2) tracked records that once made this dominate (see
-        :meth:`run`); opt in for long single-process event-engine
-        sweeps, where skipping collections over the message churn is
-        still worth ~15% at N = 800.
     workers:
         Number of worker processes for ``engine="shard"`` (ignored by
         the single-process engines).  Shard 0 runs inside this process;
@@ -180,11 +172,6 @@ class Simulator:
         shard coordinator into a supervisor (heartbeat watchdog, worker
         respawn, round-boundary checkpoints, resume).  Requires
         ``engine="shard"``; see ``docs/recovery.md``.
-    checkpoint_every, checkpoint_dir, max_restarts, heartbeat_timeout,
-    resume_from:
-        Scalar shorthands assembled into a ``SupervisionConfig`` when
-        ``supervision`` is not given.  All default to off; setting any
-        of them implies supervision (and therefore ``engine="shard"``).
     """
 
     def __init__(
@@ -202,15 +189,9 @@ class Simulator:
         frame_audit: bool = False,
         faults=None,
         protocol=None,
-        gc_pause: bool = False,
         workers: int = 1,
         partitioner: str = "greedy",
         supervision=None,
-        checkpoint_every: int = 0,
-        checkpoint_dir=None,
-        max_restarts: int = 0,
-        heartbeat_timeout: Optional[float] = None,
-        resume_from=None,
     ):
         if engine not in ENGINES:
             raise ValueError(
@@ -243,40 +224,9 @@ class Simulator:
         self.workers = workers
         self.partitioner = partitioner
         # Supervision (heartbeats, respawn, round-boundary checkpoints,
-        # resume) for engine="shard".  An explicit SupervisionConfig
-        # wins; otherwise the scalar knobs assemble one; otherwise None
-        # keeps the unsupervised fast path byte-for-byte intact.
-        if supervision is not None:
-            self.supervision = supervision
-        elif (
-            checkpoint_every
-            or max_restarts
-            or heartbeat_timeout is not None
-            or checkpoint_dir is not None
-            or resume_from is not None
-        ):
-            from repro.shard.supervisor import (
-                DEFAULT_HEARTBEAT_TIMEOUT,
-                SupervisionConfig,
-            )
-
-            self.supervision = SupervisionConfig(
-                heartbeat_timeout=(
-                    heartbeat_timeout if heartbeat_timeout is not None
-                    else DEFAULT_HEARTBEAT_TIMEOUT
-                ),
-                max_restarts=max_restarts,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=(
-                    str(checkpoint_dir) if checkpoint_dir is not None
-                    else None
-                ),
-                resume_from=(
-                    str(resume_from) if resume_from is not None else None
-                ),
-            )
-        else:
-            self.supervision = None
+        # resume) for engine="shard"; None keeps the unsupervised fast
+        # path byte-for-byte intact.
+        self.supervision = supervision
         self.graph = graph
         self.strict = strict
         self.engine = engine
@@ -312,11 +262,6 @@ class Simulator:
         if faults is not None:
             faults.bind(self)
             self.stats.faults = faults.stats
-        #: Explicit GC pause around the run loop.  The PR 1 workaround
-        #: for the old object-ledger's Theta(N^2) tracked records; the
-        #: array-backed ledger keeps its rows in GC-invisible buffers,
-        #: so the pause is off by default and opt-in for long sweeps.
-        self.gc_pause = gc_pause
         # The registered protocol this run executes: an explicit name /
         # descriptor, or inferred from the node class the factory built
         # (transport wrappers expose the protocol node as ``.inner``).
@@ -361,42 +306,21 @@ class Simulator:
     def run(self) -> SimulationStats:
         """Drive rounds until every node is done and no message is in flight.
 
-        Historical note: PR 1 paused the cyclic garbage collector here
-        unconditionally, because the old object-backed ledger grew
-        Theta(N^2) tracked records and each allocation-triggered
-        collection scanned them for nothing (over half the wall clock
-        at N = 800).  The array-backed
-        :class:`~repro.core.records.NodeLedger` keeps its rows in flat
-        buffers the collector never sees, so the unconditional pause is
-        retired: runs up to N = 2000 complete on the event engine with
-        GC live.  What remains is ordinary collection pressure from the
-        per-round message churn — measured ~15% of wall clock at
-        N = 800 on the event engine — so the pause survives as the
-        opt-in ``gc_pause`` flag for long single-process sweeps
-        (correctness is identical either way).
-
         Returns the populated :class:`SimulationStats`.
         """
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_run_start(self)
-        pause = self.gc_pause and gc.isenabled()
-        if pause:
-            gc.disable()
-        try:
-            if self.engine == "bulk":
-                from repro.engines.bulk import run_bulk
+        if self.engine == "bulk":
+            from repro.engines.bulk import run_bulk
 
-                stats = run_bulk(self)
-            elif self.engine == "shard":
-                from repro.shard.runtime import run_shard
+            stats = run_bulk(self)
+        elif self.engine == "shard":
+            from repro.shard.runtime import run_shard
 
-                stats = run_shard(self)
-            else:
-                stats = self._run_rounds()
-        finally:
-            if pause:
-                gc.enable()
+            stats = run_shard(self)
+        else:
+            stats = self._run_rounds()
         if telemetry is not None:
             telemetry.on_run_end(stats)
         return stats

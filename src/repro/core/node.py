@@ -60,6 +60,12 @@ class BetweennessNode(NodeAlgorithm):
     counting_class = CountingPhase
     aggregation_class = AggregationPhase
 
+    #: After an ``engine="shard"`` run, the worker shard that kept this
+    #: node's per-source state (ledger, dependencies); the object here
+    #: then carries only the reconciled results.  None: the state is in
+    #: this process.
+    remote_shard: Optional[int] = None
+
     def __init__(
         self,
         node_id: int,

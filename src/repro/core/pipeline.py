@@ -30,8 +30,10 @@ from repro.congest.stats import SimulationStats
 from repro.core.config import UNIT_STRESS, ProtocolConfig
 from repro.core.node import BetweennessNode, make_node_factory
 from repro.exceptions import (
+    EngineCapabilityError,
     ProtocolError,
     SimulationStalledError,
+    SupervisionConfigError,
     UnknownNodeError,
 )
 from repro.graphs.graph import Graph
@@ -141,21 +143,37 @@ class DistributedBCResult:
             self.__dict__["_nodes_by_id"] = index
         return index
 
-    def distances(self) -> Dict[int, Dict[int, int]]:
-        """The full APSP matrix: ``v -> {s: d(s, v)}`` from node ledgers."""
-        return {
-            v: node.ledger.distances()
-            for v, node in self._node_index().items()
-        }
+    def _resident(self, node: int) -> BetweennessNode:
+        """The node's object, with its per-source state in this process.
 
-    def dependency(self, source: int, node: int):
-        """delta_{source·}(node) as computed by the protocol."""
+        A sharded run keeps the per-source state of every node outside
+        shard 0 in its worker; reading the parent's copy would return
+        round-0 values, so it raises instead.
+        """
         candidate = self._node_index().get(node)
         if candidate is None:
             raise UnknownNodeError(
                 "node {} is not in this result".format(node)
             )
-        return candidate.aggregation.dependencies().get(source)
+        if candidate.remote_shard is not None:
+            raise EngineCapabilityError(
+                "shard",
+                "node {}'s per-source state stayed in shard worker {}; "
+                "read dependencies and distances from an engine='event' "
+                "run".format(node, candidate.remote_shard),
+            )
+        return candidate
+
+    def distances(self) -> Dict[int, Dict[int, int]]:
+        """The full APSP matrix: ``v -> {s: d(s, v)}`` from node ledgers."""
+        return {
+            v: self._resident(v).ledger.distances()
+            for v in self._node_index()
+        }
+
+    def dependency(self, source: int, node: int):
+        """delta_{source·}(node) as computed by the protocol."""
+        return self._resident(node).aggregation.dependencies().get(source)
 
 
 def distributed_betweenness(
@@ -284,8 +302,10 @@ def distributed_betweenness(
         ``docs/recovery.md``.
     checkpoint_every, checkpoint_dir, max_restarts, heartbeat_timeout,
     resume_from:
-        Scalar shorthands assembled into a ``SupervisionConfig`` when
-        ``supervision`` is not given (all off by default).  A run
+        Scalar shorthands assembled into a ``SupervisionConfig`` (all
+        off by default).  Give supervision one way: combining
+        ``supervision`` with any of these raises
+        :class:`~repro.exceptions.SupervisionConfigError`.  A run
         paused by ``SupervisionConfig.stop_after`` raises
         :class:`~repro.exceptions.CheckpointPause`.
 
@@ -303,6 +323,10 @@ def distributed_betweenness(
     3
     """
     require_connected(graph)
+    supervision = _supervision(
+        supervision, checkpoint_every, checkpoint_dir, max_restarts,
+        heartbeat_timeout, resume_from,
+    )
     if root is None:
         from repro.congest.primitives import elect_root
 
@@ -364,11 +388,6 @@ def distributed_betweenness(
         workers=workers,
         partitioner=partitioner,
         supervision=supervision,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        max_restarts=max_restarts,
-        heartbeat_timeout=heartbeat_timeout,
-        resume_from=resume_from,
     )
     try:
         stats = simulator.run()
@@ -389,6 +408,49 @@ def distributed_betweenness(
     if telemetry is not None:
         telemetry.finalize_run(result)
     return result
+
+
+def _supervision(
+    supervision, checkpoint_every, checkpoint_dir, max_restarts,
+    heartbeat_timeout, resume_from,
+):
+    """The run's one ``SupervisionConfig`` (or None).
+
+    It is ``supervision`` itself, or one assembled from the scalar
+    flags; a run given both would have to drop one of them.
+    """
+    flags = (
+        checkpoint_every
+        or max_restarts
+        or heartbeat_timeout is not None
+        or checkpoint_dir is not None
+        or resume_from is not None
+    )
+    if not flags:
+        return supervision
+    if supervision is not None:
+        raise SupervisionConfigError(
+            "pass supervision either as supervision= or as the "
+            "checkpoint_every / checkpoint_dir / max_restarts / "
+            "heartbeat_timeout / resume_from flags, not both"
+        )
+    from repro.shard.supervisor import (
+        DEFAULT_HEARTBEAT_TIMEOUT,
+        SupervisionConfig,
+    )
+
+    return SupervisionConfig(
+        heartbeat_timeout=(
+            heartbeat_timeout if heartbeat_timeout is not None
+            else DEFAULT_HEARTBEAT_TIMEOUT
+        ),
+        max_restarts=max_restarts,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=(
+            str(checkpoint_dir) if checkpoint_dir is not None else None
+        ),
+        resume_from=str(resume_from) if resume_from is not None else None,
+    )
 
 
 def _protocol_nodes(

@@ -2,7 +2,10 @@
 
 Every phase of the implementation has deterministic timing, so the
 *exact* number of synchronous rounds a run takes is computable without
-simulating a single message.  This module derives it:
+simulating a single message.  :mod:`repro.core.schedule` derives that
+timeline once (for the phase oracle and the bulk engine's plan too);
+:func:`predict_rounds` reports it for an all-source run.  The numbers
+it documents:
 
 ========================  =============================================
 census round  r_N         post-order recursion over BFS(u0):
@@ -29,15 +32,10 @@ families — any timing drift in a future change breaks the test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from repro.core.schedule import bfs_start_times, bfs_tree_children
+from repro.core.schedule import _timeline
 from repro.graphs.graph import Graph
-from repro.graphs.properties import (
-    all_pairs_distances,
-    bfs_distances,
-    require_connected,
-)
 
 
 @dataclass
@@ -69,80 +67,25 @@ class RoundModel:
 def predict_rounds(graph: Graph, root: int = 0) -> RoundModel:
     """Compute the closed-form timing of a full protocol run.
 
-    Costs one BFS per node (O(N·M) — it needs all-pairs distances for
-    the last-settle terms), which is orders of magnitude cheaper than
-    simulating the Θ(M·N) message deliveries but still quadratic;
-    comfortable up to a few thousand nodes.
+    Costs one BFS per node (O(N·M)) for the last-settle terms, which is
+    orders of magnitude cheaper than simulating the Θ(M·N) message
+    deliveries but still quadratic; comfortable up to a few thousand
+    nodes.
     """
-    require_connected(graph)
-    depth = bfs_distances(graph, root)
-    children = bfs_tree_children(graph, root)
-    order = _post_order(children, root)
-
-    # census convergecast: S(v) = max(depth + 2, max_c S(c) + 1)
-    census: Dict[int, int] = {}
-    for v in order:  # children before parents
-        base = depth[v] + 2
-        for c in children[v]:
-            base = max(base, census[c] + 1)
-        census[v] = base
-    census_round = census[root]
-
-    # BFS start times: tree-walk DFS anchored one round after the census
-    start_times = bfs_start_times(
-        graph, root, mode="tree_walk", t0=census_round + 1
-    )
-    t_max = max(start_times.values())
-
-    # last settle per node and the diameter
-    dist = all_pairs_distances(graph)
-    last_settle = {
-        v: max(start_times[s] + dist[s][v] for s in graph.nodes())
-        for v in graph.nodes()
-    }
-    diameter = max(max(row) for row in dist)
-
-    # done convergecast: R(v) = max(L(v), A(v), max_c R(c) + 1)
-    reports: Dict[int, int] = {}
-    for v in order:
-        announce = census_round + depth[v]
-        ready = max(last_settle[v], announce)
-        for c in children[v]:
-            ready = max(ready, reports[c] + 1)
-        reports[v] = ready
-    completion_round = reports[root]
-
-    agg_base = completion_round + diameter + 1
-    horizon = agg_base + t_max + diameter
-    total_rounds = horizon + 2
+    schedule, first_visit, last_settle = _timeline(graph, root, None, True)
     return RoundModel(
         graph=graph,
         root=root,
-        census_round=census_round,
-        start_times=start_times,
-        t_max=t_max,
-        last_settle=last_settle,
-        completion_round=completion_round,
-        agg_base=agg_base,
-        diameter=diameter,
-        horizon=horizon,
-        total_rounds=total_rounds,
+        census_round=schedule.r_census,
+        start_times={v: first_visit[v] + 1 for v in graph.nodes()},
+        t_max=schedule.t_max,
+        last_settle=dict(enumerate(last_settle)),
+        completion_round=schedule.r_result,
+        agg_base=schedule.base,
+        diameter=schedule.diameter,
+        horizon=schedule.base + schedule.t_max + schedule.diameter,
+        total_rounds=schedule.total_rounds,
     )
-
-
-def _post_order(children: Dict[int, List[int]], root: int) -> List[int]:
-    """Children-before-parent ordering of the tree."""
-    out: List[int] = []
-    stack: List[tuple] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-        else:
-            stack.append((node, True))
-            for c in children[node]:
-                stack.append((c, False))
-    return out
 
 
 def rounds_upper_bound(num_nodes: int, diameter: int) -> int:

@@ -21,6 +21,14 @@ simulator) under two DFS-token models, both satisfying separation:
   as the message-passing implementation does:
   ``T_next = T_prev + walk_length + 1``.
 
+The tree-walk model is a view of the protocol's own closed-form
+timeline (the second half of this module): the BFS(u0) tree comes from
+:func:`tree_schedule`, the preorder, walk lengths and start times from
+the first-visit rounds of :func:`dfs_token_schedule`.  The phase oracle
+:func:`expected_phase_schedule`, the round model
+:func:`repro.core.roundmodel.predict_rounds` and the bulk engine's plan
+all run :func:`done_schedule`, the one completion convergecast.
+
 It also provides the collision detector used by the scheduling ablation
 (benchmark E12): hand it *any* assignment of start times and it counts
 how many (node, round) pairs would have to send values for two
@@ -31,13 +39,13 @@ positive for naive ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError, UnknownNodeError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
     all_pairs_distances,
-    bfs_parents,
+    bfs_distances,
     diameter as graph_diameter,
     require_connected,
 )
@@ -45,26 +53,25 @@ from repro.graphs.properties import (
 
 def bfs_tree_children(graph: Graph, root: int) -> Dict[int, List[int]]:
     """Children lists of the BFS(root) tree with min-id parent choice."""
-    parents = bfs_parents(graph, root)
-    children: Dict[int, List[int]] = {v: [] for v in graph.nodes()}
-    for v, parent in enumerate(parents):
-        if parent is not None:
-            children[parent].append(v)
-    for v in children:
-        children[v].sort()
-    return children
+    return dict(enumerate(tree_schedule(graph, root)[2]))
+
+
+def _token_walk(graph: Graph, root: int) -> Tuple[List[int], List[int]]:
+    """The DFS token walk's first-visit rounds (the root's at 0) and the
+    nodes in first-visit order."""
+    _depth, parent, children = tree_schedule(graph, root)
+    first_visit, sends, _complete = dfs_token_schedule(
+        children, parent, root, 0
+    )
+    order = [root] + [
+        target for _t, _v, target, returning, _slot in sends if not returning
+    ]
+    return first_visit, order
 
 
 def dfs_preorder(graph: Graph, root: int) -> List[int]:
     """DFS preorder of the BFS(root) tree, children visited in id order."""
-    children = bfs_tree_children(graph, root)
-    order: List[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
+    return _token_walk(graph, root)[1]
 
 
 def tree_walk_lengths(graph: Graph, root: int) -> List[Tuple[int, int]]:
@@ -72,34 +79,15 @@ def tree_walk_lengths(graph: Graph, root: int) -> List[Tuple[int, int]]:
 
     The hop count is the number of tree edges the DFS token traverses
     between consecutive first-visits (1 for a child descent, more when
-    backtracking), which is what the message-passing token pays.
+    backtracking), which is what the message-passing token pays.  Every
+    hop takes one round and a first visit pauses one more, so the hops
+    are the first-visit gap minus one.
     """
-    children = bfs_tree_children(graph, root)
-    parents = {root: None}
-    for parent, kids in children.items():
-        for kid in kids:
-            parents[kid] = parent
-    order = dfs_preorder(graph, root)
-    depths: Dict[int, int] = {root: 0}
-    for v in order[1:]:
-        depths[v] = depths[parents[v]] + 1
-    result: List[Tuple[int, int]] = [(root, 0)]
-    for prev, nxt in zip(order, order[1:]):
-        # tree walk distance = depth(prev) + depth(nxt) - 2 * depth(lca)
-        a, b = prev, nxt
-        da, db = depths[a], depths[b]
-        while da > db:
-            a = parents[a]
-            da -= 1
-        while db > da:
-            b = parents[b]
-            db -= 1
-        while a != b:
-            a, b = parents[a], parents[b]
-        lca_depth = depths[a] if a is not None else 0
-        hops = depths[prev] + depths[nxt] - 2 * lca_depth
-        result.append((nxt, hops))
-    return result
+    first_visit, order = _token_walk(graph, root)
+    return [(root, 0)] + [
+        (nxt, first_visit[nxt] - first_visit[prev] - 1)
+        for prev, nxt in zip(order, order[1:])
+    ]
 
 
 def bfs_start_times(
@@ -127,15 +115,8 @@ def bfs_start_times(
             times[nxt] = times[prev] + dist[prev][nxt] + 1
         return times
     if mode == "tree_walk":
-        times = {}
-        clock = t0
-        for index, (node, hops) in enumerate(tree_walk_lengths(graph, root)):
-            if index == 0:
-                times[node] = clock
-            else:
-                clock = clock + hops + 1
-                times[node] = clock
-        return times
+        first_visit, order = _token_walk(graph, root)
+        return {v: t0 + first_visit[v] for v in order}
     raise GraphError("unknown DFS token mode {!r}".format(mode))
 
 
@@ -229,41 +210,29 @@ def figure1_tables(graph: Graph = None) -> Dict[int, Dict[int, int]]:
 # BFS(u0) tree build, the subtree census convergecast, the DFS token
 # walk, and the completion convergecast whose arrival at the root
 # triggers the diameter broadcast.  The vectorized bulk engine derives
-# its whole execution plan from them, and the progress estimator
-# (:class:`repro.obs.stream.ProgressEstimator`) uses the same numbers to
-# predict phase boundaries for *any* engine — the round schedule depends
-# only on the topology and the source set, never on the arithmetic.
+# its whole execution plan from them, the round model
+# (:func:`repro.core.roundmodel.predict_rounds`) reports them, and the
+# progress estimator (:class:`repro.obs.stream.ProgressEstimator`) uses
+# the same numbers to predict phase boundaries for *any* engine — the
+# round schedule depends only on the topology and the source set, never
+# on the arithmetic.
 # ----------------------------------------------------------------------
 def tree_schedule(
     graph: Graph, root: int
 ) -> Tuple[List[int], List[Optional[int]], List[List[int]]]:
-    """BFS depths, min-id parents and children of the BFS(u0) tree."""
-    n = graph.num_nodes
-    depth = [-1] * n
-    parent: List[Optional[int]] = [None] * n
-    children: List[List[int]] = [[] for _ in range(n)]
-    depth[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            dv = depth[v] + 1
-            for u in graph.neighbors(v):
-                if depth[u] < 0:
-                    depth[u] = dv
-                    # min-id parent: the settling node picks the least
-                    # sender id; all depth-(d-1) neighbors send, so that
-                    # is simply the least such neighbor.
-                    parent[u] = min(
-                        w for w in graph.neighbors(u) if depth[w] == dv - 1
-                    )
-                    nxt.append(u)
-        frontier = nxt
-    for u in range(n):
-        if parent[u] is not None:
-            children[parent[u]].append(u)
-    for ch in children:
-        ch.sort()
+    """BFS depths, min-id parents and children of the BFS(u0) tree.
+
+    A settling node picks the least sender id; all its depth-(d-1)
+    neighbors send, so its parent is simply the least such neighbor.
+    """
+    depth = bfs_distances(graph, root)
+    parent: List[Optional[int]] = [None] * len(depth)
+    children: List[List[int]] = [[] for _ in depth]
+    for u, d in enumerate(depth):
+        if d > 0:
+            p = min(w for w in graph.neighbors(u) if depth[w] == d - 1)
+            parent[u] = p
+            children[p].append(u)
     return depth, parent, children
 
 
@@ -350,14 +319,37 @@ def run_end_round(last_done: int, token_sends) -> int:
     return end
 
 
-#: Protocol phases in execution order, paired with the schedule
-#: attribute holding each phase's start round.
-PHASE_ORDER = (
-    ("tree_build", "start_round"),
-    ("counting", "r_census"),
-    ("diameter_broadcast", "r_result"),
-    ("aggregation", "base"),
-)
+def done_schedule(
+    depth: List[int],
+    children: List[List[int]],
+    r_census: int,
+    last_settle: Sequence[int],
+    all_sources: bool,
+) -> List[int]:
+    """DoneReport send rounds R(v) of the completion convergecast.
+
+    ``R(v) = max(depth(v) + 2, K(v), L(v), max_c R(c) + 1)``: a node's
+    children are final two rounds after it settles, the last BFS wave
+    settles at it in round ``L(v) = max_s (T_s + d(s, v))``, and every
+    child's report must have arrived.  All-source runs also wait until
+    the node knows N, hence its expected ledger size:
+    ``K(v) = r_census + depth(v)`` (the census at the root, the announce
+    elsewhere).  The root's R is the counting result round.
+    """
+    n = len(depth)
+    order = sorted(range(n), key=depth.__getitem__, reverse=True)
+    send = [0] * n
+    for v in order:
+        r = depth[v] + 2
+        if all_sources and r_census + depth[v] > r:
+            r = r_census + depth[v]
+        if last_settle[v] > r:
+            r = last_settle[v]
+        for c in children[v]:
+            if send[c] + 1 > r:
+                r = send[c] + 1
+        send[v] = r
+    return send
 
 
 @dataclass(frozen=True)
@@ -383,8 +375,6 @@ class PhaseSchedule:
     t_max: int  #: largest BFS start time T_s
     total_rounds: int  #: exact stats.rounds of the finished run
 
-    start_round = 0
-
     def boundaries(self) -> List[Tuple[str, int]]:
         """(phase name, start round) pairs in execution order."""
         out = [("tree_build", 0), ("counting", self.r_census)]
@@ -409,20 +399,6 @@ class PhaseSchedule:
             return 1.0
         return max(0.0, min(1.0, round_number / self.total_rounds))
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "num_nodes": self.num_nodes,
-            "root": self.root,
-            "num_sources": self.num_sources,
-            "aggregate": self.aggregate,
-            "r_census": self.r_census,
-            "r_result": self.r_result,
-            "base": self.base,
-            "diameter": self.diameter,
-            "t_max": self.t_max,
-            "total_rounds": self.total_rounds,
-        }
-
 
 def expected_phase_schedule(
     graph: Graph,
@@ -432,11 +408,26 @@ def expected_phase_schedule(
 ) -> PhaseSchedule:
     """Predict the protocol's phase boundaries without running it.
 
-    Mirrors the bulk engine's plan derivation in pure Python: the census
-    round, the completion convergecast (``done_send`` recursion over the
-    tree, driven by the last BFS wave settling at each node), the
-    diameter broadcast window and the aggregation horizon.  Cost is one
-    BFS per source — O(S * (N + E)) — far below the run itself.
+    The same derivation as the bulk engine's plan: the census round,
+    the token walk, the completion convergecast (:func:`done_schedule`,
+    driven by the last BFS wave settling at each node), the diameter
+    broadcast window and the aggregation horizon.  Only the per-source
+    BFS is pure Python here.  Cost is one BFS per source —
+    O(S * (N + E)) — far below the run itself.
+    """
+    return _timeline(graph, root, sources, aggregate)[0]
+
+
+def _timeline(
+    graph: Graph,
+    root: int,
+    sources: Optional[Iterable[int]],
+    aggregate: bool,
+) -> Tuple[PhaseSchedule, List[int], List[int]]:
+    """The schedule plus each node's first-visit and last-settle round.
+
+    :func:`repro.core.roundmodel.predict_rounds` reports the two lists
+    for an all-source run.
     """
     require_connected(graph)
     n = graph.num_nodes
@@ -446,7 +437,6 @@ def expected_phase_schedule(
         children, parent, root, r_census
     )
     src_list = sorted(sources) if sources is not None else list(range(n))
-    all_sources = sources is None
     # Per-source BFS, folded into the two per-node aggregates the
     # completion recursion needs: the eccentricity over sources and the
     # settle round of the last wave, T_s + d(s, v).
@@ -457,41 +447,15 @@ def expected_phase_schedule(
         t_s = first_visit[s] + 1
         if t_s > t_max:
             t_max = t_s
-        dist = [-1] * n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                dv = dist[v] + 1
-                for u in graph.neighbors(v):
-                    if dist[u] < 0:
-                        dist[u] = dv
-                        nxt.append(u)
-            frontier = nxt
-        for v in range(n):
-            d = dist[v]
+        for v, d in enumerate(bfs_distances(graph, s)):
             if d > ecc[v]:
                 ecc[v] = d
             settle = t_s + d
             if settle > last_settle[v]:
                 last_settle[v] = settle
-    bottom_up = sorted(range(n), key=depth.__getitem__, reverse=True)
-    done_send = [0] * n
-    for v in bottom_up:
-        r = depth[v] + 2  # children_final
-        if all_sources:
-            # num_nodes (hence the expected ledger size) is known to the
-            # root at the census and to others when the announce arrives.
-            known = r_census if v == root else r_census + depth[v]
-            if known > r:
-                r = known
-        if last_settle[v] > r:
-            r = last_settle[v]
-        for c in children[v]:
-            if done_send[c] + 1 > r:
-                r = done_send[c] + 1
-        done_send[v] = r
+    done_send = done_schedule(
+        depth, children, r_census, last_settle, sources is None
+    )
     r_result = done_send[root]
     diameter = max(ecc)
     base = r_result + diameter + 1
@@ -501,8 +465,7 @@ def expected_phase_schedule(
         # Counting-only runs (distributed APSP) halt when the AggStart
         # broadcast reaches the deepest leaves.
         last_done = r_result + max(depth)
-    total_rounds = run_end_round(last_done, token_sends)
-    return PhaseSchedule(
+    schedule = PhaseSchedule(
         num_nodes=n,
         root=root,
         num_sources=len(src_list),
@@ -512,5 +475,6 @@ def expected_phase_schedule(
         base=base,
         diameter=diameter,
         t_max=t_max,
-        total_rounds=total_rounds,
+        total_rounds=run_end_round(last_done, token_sends),
     )
+    return schedule, first_visit, last_settle

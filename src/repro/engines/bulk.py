@@ -52,6 +52,7 @@ from repro.core.records import NodeLedger
 from repro.core.schedule import (
     census_schedule,
     dfs_token_schedule,
+    done_schedule,
     run_end_round,
     tree_schedule,
 )
@@ -211,14 +212,14 @@ class _Plan:
 
     __slots__ = (
         "N", "root", "L", "aggregate", "indptr", "indices", "deg",
-        "depth", "parent", "children", "depth_max",
+        "depth", "parent", "children",
         "census_send", "r_census", "subtree_size",
         "first_visit", "token_sends", "visited", "next_child",
         "dfs_complete",
         "src", "s_idx_of", "T",
         "dist_flat", "sig_m", "sig_e", "psi_m", "psi_e", "val_m", "val_e",
         "pred_indptr", "pred_rows", "pair_rows",
-        "ecc", "subtree_ecc", "done_send", "r_result",
+        "subtree_ecc", "done_send", "r_result",
         "diameter", "t_max", "base", "horizon",
         "rounds", "done_round",
         "bet_m", "bet_e",
@@ -245,9 +246,10 @@ def _csr(graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, deg
 
 
-# The tree / census / DFS-token schedules are shared with the pure-
-# Python progress estimator and live in repro.core.schedule; the bulk
-# engine wires its drain-order slot constants into the token walk.
+# The tree / census / DFS-token schedules and the completion recursion
+# are shared with the pure-Python progress estimator and the round model
+# and live in repro.core.schedule; the bulk engine wires its drain-order
+# slot constants into the token walk.
 
 
 # ---------------------------------------------------------------------------
@@ -1191,7 +1193,6 @@ def _compute(sim) -> _Plan:
     plan.depth = depth
     plan.parent = parent
     plan.children = children
-    plan.depth_max = max(depth)
     plan.census_send, plan.r_census, plan.subtree_size = census_schedule(
         depth, children, plan.root
     )
@@ -1229,38 +1230,21 @@ def _compute(sim) -> _Plan:
     # Completion convergecast: eccentricities, done-report rounds, and
     # the root's counting result.
     dist2d = plan.dist_flat.reshape(S, N)
-    ecc = dist2d.max(axis=0)
-    plan.ecc = ecc.tolist()
+    ecc = dist2d.max(axis=0).tolist()
     bottom_up = sorted(range(N), key=depth.__getitem__, reverse=True)
     subtree_ecc = [0] * N
     for v in bottom_up:
-        e = plan.ecc[v]
+        e = ecc[v]
         for c in children[v]:
             if subtree_ecc[c] > e:
                 e = subtree_ecc[c]
         subtree_ecc[v] = e
     plan.subtree_ecc = subtree_ecc
     last_settle = (plan.T[:, None] + dist2d).max(axis=0).tolist()
-    all_sources = config.sources is None
-    done_send = [0] * N
-    for v in bottom_up:
-        r = depth[v] + 2  # children_final
-        if all_sources:
-            # num_nodes (hence the expected ledger size) is known to the
-            # root at the census and to others when the announce arrives.
-            known = plan.r_census if v == plan.root else (
-                plan.r_census + depth[v]
-            )
-            if known > r:
-                r = known
-        if last_settle[v] > r:
-            r = last_settle[v]
-        for c in children[v]:
-            if done_send[c] + 1 > r:
-                r = done_send[c] + 1
-        done_send[v] = r
-    plan.done_send = done_send
-    plan.r_result = done_send[plan.root]
+    plan.done_send = done_schedule(
+        depth, children, plan.r_census, last_settle, config.sources is None
+    )
+    plan.r_result = plan.done_send[plan.root]
     plan.diameter = subtree_ecc[plan.root]
     plan.t_max = int(plan.T.max())
     plan.base = plan.r_result + plan.diameter + 1
@@ -1272,7 +1256,7 @@ def _compute(sim) -> _Plan:
     else:
         # Counting-only runs (distributed APSP): every node halts the
         # round its AggStart arrives; the last delivery reaches the
-        # deepest leaves at r_result + depth_max.
+        # deepest leaves at r_result + max(depth).
         plan.done_round = [plan.r_result + depth[v] for v in range(N)]
         plan.psi_m = plan.psi_e = None
         plan.val_m = plan.val_e = None

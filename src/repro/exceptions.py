@@ -101,7 +101,9 @@ class EngineCapabilityError(CongestError):
     falls outside the bulk engine's capability envelope (numpy missing,
     exact arithmetic, fault injection, custom node algorithms, ...).
     ``engine="auto"`` never raises this: the dispatcher silently falls
-    back to the next capable engine instead.
+    back to the next capable engine instead.  A sharded result raises it
+    too, from ``dependency()`` and ``distances()``, for a node whose
+    per-source state stayed in a shard worker.
 
     Attributes
     ----------

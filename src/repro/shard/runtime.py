@@ -1286,6 +1286,18 @@ class _Coordinator:
             if inner is not node:
                 inner.done = entry["done"]
 
+    def _mark_remote(self) -> None:
+        """Tag this process's copies of nodes that other shards ran.
+
+        Only their results were patched in above; their ledgers and
+        dependencies stay in the worker, since shipping them back would
+        put the Theta(N^2) ledger words in one process again.  The
+        result surface refuses to read them (see ``remote_shard``).
+        """
+        for shard in range(1, self.n_shards):
+            for v in self.shards[shard]:
+                _unwrap(self.sim.nodes[v]).remote_shard = shard
+
     def _attach_shard_summary(self) -> None:
         self.stats.shard = {
             "workers": self.n_shards,
@@ -1337,6 +1349,7 @@ class _Coordinator:
         if self.alive[0]:
             self._absorb_worker0()
         self._merge_fault_stats()
+        self._mark_remote()
         self._attach_shard_summary()
         self.stats.rounds = round_number
         return self.stats
@@ -1378,6 +1391,7 @@ class _Coordinator:
         if self.alive[0]:
             self._absorb_worker0()
         self._merge_fault_stats()
+        self._mark_remote()
         self._attach_shard_summary()
         crashed = (
             tuple(sim.faults.crashed_nodes(round_number))

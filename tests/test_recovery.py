@@ -17,7 +17,12 @@ import types
 import pytest
 
 from repro.core import distributed_betweenness
-from repro.exceptions import CheckpointError, CheckpointPause, EngineCapabilityError
+from repro.exceptions import (
+    CheckpointError,
+    CheckpointPause,
+    EngineCapabilityError,
+    SupervisionConfigError,
+)
 from repro.faults import CrashWindow, FaultPlan, SlowWorker, WorkerHang
 from repro.graphs import (
     cycle_graph,
@@ -190,6 +195,19 @@ class TestSupervisionConfig:
         assert supervision_for(FaultPlan(seed=1), None) is None
         explicit = SupervisionConfig(max_restarts=7)
         assert supervision_for(plan, explicit) is explicit
+
+    def test_supervision_given_two_ways_raises(self, tmp_path):
+        """The scalar flags and supervision= never silently merge."""
+        with pytest.raises(SupervisionConfigError, match="not both"):
+            distributed_betweenness(
+                cycle_graph(12),
+                engine="shard",
+                workers=2,
+                checkpoint_every=4,
+                checkpoint_dir=str(tmp_path),
+                supervision=SupervisionConfig(max_restarts=1),
+            )
+        assert not any(tmp_path.iterdir())
 
     def test_supervision_requires_shard_engine(self):
         with pytest.raises(EngineCapabilityError, match="shard"):

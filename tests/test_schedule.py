@@ -1,15 +1,19 @@
 """Tests for the analytic schedule module (Figure 1 and Lemma 4)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    ProtocolConfig,
     bfs_start_times,
     bfs_tree_children,
     count_collisions,
     dfs_preorder,
+    distributed_betweenness,
+    expected_phase_schedule,
     figure1_tables,
     naive_start_times,
+    predict_rounds,
     sending_times,
     tree_walk_lengths,
     verify_separation,
@@ -146,3 +150,36 @@ class TestCollisionAblation:
         for s, row in tables.items():
             # the farthest node sends first: T_s + D - d
             assert row[s] == times[s] + diameter(g)
+
+
+class TestTimelineAgainstRuns:
+    """The closed-form timeline equals real runs on generated graphs."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_matches_event_run(self, data):
+        graph = data.draw(connected_graphs(max_nodes=14))
+        nodes = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+        root = data.draw(nodes)
+        sources = data.draw(
+            st.none() | st.frozensets(nodes, min_size=1, max_size=3)
+        )
+        aggregate = data.draw(st.booleans())
+        result = distributed_betweenness(
+            graph,
+            arithmetic="lfloat",
+            engine="event",
+            root=root,
+            config=ProtocolConfig(sources=sources, aggregate=aggregate),
+        )
+        schedule = expected_phase_schedule(graph, root, sources, aggregate)
+        root_node = result.nodes[root]
+        assert schedule.total_rounds == result.rounds
+        assert schedule.r_census == root_node.tree.census_round
+        assert schedule.r_result == root_node.counting.result_round
+        if aggregate:
+            assert schedule.base == root_node.counting.counting_result[2]
+            if sources is None:
+                model = predict_rounds(graph, root)
+                assert model.total_rounds == result.rounds
+                assert model.start_times == result.start_times

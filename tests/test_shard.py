@@ -335,6 +335,20 @@ class TestShardEnvelope:
                 figure1_graph(), lambda v, g: Silent(v, g), engine="shard"
             ).run()
 
+    def test_worker_held_state_raises(self):
+        """Per-source state a worker kept is refused, not read stale."""
+        graph = cycle_graph(12)
+        sharded = distributed_betweenness(graph, engine="shard", workers=2)
+        reference = distributed_betweenness(graph, engine="event")
+        _assignment, (local, remote) = partition_nodes(graph, 2, root=0)
+        for node in local:
+            assert sharded.dependency(3, node) == reference.dependency(3, node)
+        with pytest.raises(EngineCapabilityError, match="event"):
+            sharded.dependency(3, remote[0])
+        with pytest.raises(EngineCapabilityError, match="shard worker 1"):
+            sharded.distances()
+        assert sharded.betweenness == reference.betweenness
+
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             distributed_betweenness(
