@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Any, Dict, Tuple, Union
 
 from repro.arithmetic.lfloat import LFloat, Rounding
+from repro.exceptions import ArithmeticModeError
 
 Value = Any  # int | Fraction | LFloat depending on context
 
@@ -258,5 +259,10 @@ def make_context(mode: Union[str, ArithmeticContext], num_nodes: int = 0):
     if mode == "lfloat":
         return LFloatArithmetic(recommended_precision(max(1, num_nodes)))
     if isinstance(mode, str) and mode.startswith("lfloat-"):
-        return LFloatArithmetic(int(mode.split("-", 1)[1]))
-    raise ValueError("unknown arithmetic mode {!r}".format(mode))
+        digits = mode.split("-", 1)[1]
+        if digits.isdecimal():
+            return LFloatArithmetic(int(digits))
+    raise ArithmeticModeError(
+        "unknown arithmetic mode {!r} (want exact, lfloat or "
+        "lfloat-<L>)".format(mode)
+    )

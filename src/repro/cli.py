@@ -46,7 +46,7 @@ from repro.core import (
     distributed_stress,
     sending_times,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import GraphError, ReproError
 from repro.graphs import (
     Graph,
     balanced_tree,
@@ -106,11 +106,14 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "file", None):
-        if str(args.file).endswith(".json"):
-            from repro.graphs import read_json
+        try:
+            if str(args.file).endswith(".json"):
+                from repro.graphs import read_json
 
-            return read_json(args.file)
-        return read_edge_list(args.file)
+                return read_json(args.file)
+            return read_edge_list(args.file)
+        except OSError as err:
+            raise GraphError("cannot read {}: {}".format(args.file, err))
     return parse_graph_spec(args.graph)
 
 

@@ -32,6 +32,7 @@ from repro.core.node import BetweennessNode, make_node_factory
 from repro.exceptions import (
     EngineCapabilityError,
     ProtocolError,
+    SampleSizeError,
     SimulationStalledError,
     SupervisionConfigError,
     UnknownNodeError,
@@ -792,7 +793,10 @@ def distributed_sampled_betweenness(
     require_connected(graph)
     n = graph.num_nodes
     if not 1 <= num_samples <= n:
-        raise ValueError("need 1 <= num_samples <= N")
+        raise SampleSizeError(
+            "need 1 <= num_samples <= N, got num_samples={} with "
+            "N={}".format(num_samples, n)
+        )
     rng = _random.Random(seed)
     pivots = tuple(sorted(rng.sample(range(n), num_samples)))
     result = distributed_betweenness(

@@ -101,12 +101,7 @@ def bfs_start_times(
     ``t0`` is the root's start time (the paper's Figure 1 uses 0).
     """
     require_connected(graph)
-    if not graph.has_node(root):
-        raise UnknownNodeError(
-            "root {} is not a node of the graph (N={})".format(
-                root, graph.num_nodes
-            )
-        )
+    _require_root(graph, root)
     if mode == "shortcut":
         dist = all_pairs_distances(graph)
         order = dfs_preorder(graph, root)
@@ -217,6 +212,15 @@ def figure1_tables(graph: Graph = None) -> Dict[int, Dict[int, int]]:
 # round schedule depends only on the topology and the source set, never
 # on the arithmetic.
 # ----------------------------------------------------------------------
+def _require_root(graph: Graph, root: int) -> None:
+    if not graph.has_node(root):
+        raise UnknownNodeError(
+            "root {} is not a node of the graph (N={})".format(
+                root, graph.num_nodes
+            )
+        )
+
+
 def tree_schedule(
     graph: Graph, root: int
 ) -> Tuple[List[int], List[Optional[int]], List[List[int]]]:
@@ -224,7 +228,9 @@ def tree_schedule(
 
     A settling node picks the least sender id; all its depth-(d-1)
     neighbors send, so its parent is simply the least such neighbor.
+    Raises :class:`UnknownNodeError` for a root outside the graph.
     """
+    _require_root(graph, root)
     depth = bfs_distances(graph, root)
     parent: List[Optional[int]] = [None] * len(depth)
     children: List[List[int]] = [[] for _ in depth]

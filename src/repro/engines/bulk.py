@@ -262,31 +262,36 @@ def _ordered_fold(acc_m, acc_e, src_m, src_e, first, counts, L, mode):
     the fold applies ``acc = lf_add(acc, row)`` one position at a time
     across all groups simultaneously, reproducing the scalar engines'
     strictly sequential accumulation order (ascending sender) bit for
-    bit.  The loop runs ``max(counts)`` times — the max in-degree of the
-    level, not the total row count.
+    bit.  The groups are sorted once by count, descending, so pass j
+    touches only the leading groups that still have a j-th row: the
+    work is the number of rows, not groups times the max in-degree.
     """
-    j = 0
-    while True:
-        live = counts > j
-        if not live.any():
-            return acc_m, acc_e
-        rows = first[live] + j
-        nm, ne = lfmath.lf_add(
-            acc_m[live], acc_e[live], src_m[rows], src_e[rows], L, mode
+    busy = np.flatnonzero(counts)
+    busy = busy[np.argsort(-counts[busy], kind="stable")]
+    # live[j]: how many groups have more than j rows.
+    live = busy.size - np.cumsum(np.bincount(counts[busy]))
+    m = acc_m[busy]
+    e = acc_e[busy]
+    start = first[busy]
+    for j, k in enumerate(live[:-1].tolist()):
+        rows = start[:k] + j
+        m[:k], e[:k] = lfmath.lf_add(
+            m[:k], e[:k], src_m[rows], src_e[rows], L, mode
         )
-        acc_m[live] = nm
-        acc_e[live] = ne
-        j += 1
+    acc_m[busy] = m
+    acc_e[busy] = e
+    return acc_m, acc_e
 
 
 def _batched_bfs(plan: _Plan, indptr, indices, deg):
     """All-source level-synchronous BFS with packed (source, node) keys.
 
     Pair ``p = s_idx * N + v`` settles at level ``d(s, v)``; per level
-    the predecessor rows (pair, pred) are kept — sorted by (pair, pred),
-    which is both the scalar inbox order (ascending sender) and the
-    record's sorted predecessor tuple.  Sigma lanes are folded in that
-    order with ceil rounding, exactly like ``CountingPhase._settle_source``.
+    the predecessor links are kept as sorted keys ``p * N + pred`` —
+    (pair, pred) order, which is both the scalar inbox order (ascending
+    sender) and the record's sorted predecessor tuple.  Sigma lanes are
+    folded in that order with ceil rounding, exactly like
+    ``CountingPhase._settle_source``.
     """
     N = plan.N
     L = plan.L
@@ -299,37 +304,33 @@ def _batched_bfs(plan: _Plan, indptr, indices, deg):
     one = np.int64(1) << (L - 1)
     sig_m[pair0] = one  # sigma_one = from_int(1) = (2**(L-1), 1)
     sig_e[pair0] = 1
-    level_rows: List[Tuple[np.ndarray, np.ndarray]] = []
+    level_keys: List[np.ndarray] = []
     settled: List[np.ndarray] = [pair0]
     frontier = pair0
     level = 0
     while frontier.size:
         level += 1
         vs = frontier % N
-        s_part = frontier - vs
         counts = deg[vs]
-        rp = np.repeat(frontier, counts)
-        starts = np.repeat(indptr[vs], counts)
-        offsets = np.arange(rp.size, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        targets = indices[starts + offsets]
-        cand = np.repeat(s_part, counts) + targets
-        mask = dist[cand] < 0
-        cand = cand[mask]
-        senders = rp[mask] % N
-        if cand.size == 0:
+        ends = np.cumsum(counts)
+        # Expanded row i of frontier pair f reads adjacency slot
+        # indptr[v_f] + (i - the first row of f).
+        slots = np.repeat(indptr[vs] - ends + counts, counts)
+        slots += np.arange(slots.size, dtype=np.int64)
+        cand = np.repeat(frontier - vs, counts) + indices[slots]
+        fresh = dist[cand] < 0
+        if not fresh.any():
             break
-        order = np.lexsort((senders, cand))
-        qs = cand[order]
-        ps = senders[order]
-        first = np.concatenate(([0], np.flatnonzero(qs[1:] != qs[:-1]) + 1))
-        cnts = np.diff(np.concatenate((first, [qs.size])))
+        # One (candidate pair, sender) key per row: unique, and below
+        # N**3, which fits int64 for N < 2,097,152.
+        key = np.sort(cand[fresh] * N + np.repeat(vs, counts)[fresh])
+        qs, ps = np.divmod(key, N)
+        first, cnts = _runs(qs)
         uniq = qs[first]
         dist[uniq] = level
         sender_pairs = (qs - qs % N) + ps
-        acc_m = sig_m[sender_pairs[first]].copy()
-        acc_e = sig_e[sender_pairs[first]].copy()
+        acc_m = sig_m[sender_pairs[first]]
+        acc_e = sig_e[sender_pairs[first]]
         # Remaining predecessors fold in ascending-sender order (ceil).
         _ordered_fold(
             acc_m, acc_e,
@@ -338,16 +339,16 @@ def _batched_bfs(plan: _Plan, indptr, indices, deg):
         )
         sig_m[uniq] = acc_m
         sig_e[uniq] = acc_e
-        level_rows.append((qs, ps))
+        level_keys.append(key)
         settled.append(uniq)
         frontier = uniq
     plan.dist_flat = dist
     plan.sig_m = sig_m
     plan.sig_e = sig_e
-    return level_rows, settled
+    return level_keys, settled
 
 
-def _psi_recursion(plan: _Plan, config, level_rows, settled):
+def _psi_recursion(plan: _Plan, config, level_keys, settled):
     """Descending-level psi/value computation (Algorithm 3, Eq. 14).
 
     Values telescope down the BFS DAG: pairs at level l send
@@ -379,29 +380,28 @@ def _psi_recursion(plan: _Plan, config, level_rows, settled):
         )
         unit_m = np.where(tpair, rm, np.int64(0))
         unit_e = np.where(tpair, re, np.int64(0))
-    for lev in range(len(level_rows), 0, -1):
+    for lev in range(len(level_keys), 0, -1):
         pairs = settled[lev]
         vm, ve = lfmath.lf_add(
             unit_m[pairs], unit_e[pairs], psi_m[pairs], psi_e[pairs], L, "floor"
         )
         val_m[pairs] = vm
         val_e[pairs] = ve
-        qs, ps = level_rows[lev - 1]
-        recv = (qs - qs % N) + ps
-        order = np.lexsort((qs, recv))
-        recv_s = recv[order]
-        send_s = qs[order]
-        first = np.concatenate(
-            ([0], np.flatnonzero(recv_s[1:] != recv_s[:-1]) + 1)
-        )
-        cnts = np.diff(np.concatenate((first, [recv_s.size])))
+        qs, ps = np.divmod(level_keys[lev - 1], N)
+        t = qs % N
+        # (receiver pair, sender node) keys, unique and below N**3.
+        recv_s, t = np.divmod(np.sort((qs - t + ps) * N + t), N)
+        send_s = recv_s - recv_s % N + t
+        first, cnts = _runs(recv_s)
         uniq = recv_s[first]
-        acc_m = np.zeros(uniq.size, dtype=np.int64)
-        acc_e = np.zeros(uniq.size, dtype=np.int64)
+        # psi starts at zero, and zero + v is v verbatim: start from
+        # each receiver's first value and fold in the rest.
+        acc_m = val_m[send_s[first]]
+        acc_e = val_e[send_s[first]]
         _ordered_fold(
             acc_m, acc_e,
             val_m[send_s], val_e[send_s],
-            first, cnts, L, "floor",
+            first + 1, cnts - 1, L, "floor",
         )
         psi_m[uniq] = acc_m
         psi_e[uniq] = acc_e
@@ -1212,16 +1212,11 @@ def _compute(sim) -> _Plan:
         [plan.first_visit[s] + 1 for s in src_list], dtype=np.int64
     )
 
-    level_rows, settled = _batched_bfs(plan, indptr, indices, deg)
-    if level_rows:
-        qs_all = np.concatenate([q for q, _ in level_rows])
-        ps_all = np.concatenate([p for _, p in level_rows])
-    else:  # pragma: no cover - N >= 2 and connected always yields levels
-        qs_all = np.empty(0, dtype=np.int64)
-        ps_all = np.empty(0, dtype=np.int64)
-    row_order = np.lexsort((ps_all, qs_all))
-    plan.pair_rows = qs_all[row_order]
-    plan.pred_rows = ps_all[row_order]
+    level_keys, settled = _batched_bfs(plan, indptr, indices, deg)
+    # Levels hold disjoint pairs: one sort orders every link by pair.
+    plan.pair_rows, plan.pred_rows = np.divmod(
+        np.sort(np.concatenate(level_keys)), N
+    )
     plan.pred_indptr = np.zeros(S * N + 1, dtype=np.int64)
     plan.pred_indptr[1:] = np.cumsum(
         np.bincount(plan.pair_rows, minlength=S * N)
@@ -1251,7 +1246,7 @@ def _compute(sim) -> _Plan:
     plan.horizon = plan.base + plan.t_max + plan.diameter
     if plan.aggregate:
         plan.done_round = [plan.horizon + 1] * N
-        _psi_recursion(plan, config, level_rows, settled)
+        _psi_recursion(plan, config, level_keys, settled)
         _betweenness_fold(plan)
     else:
         # Counting-only runs (distributed APSP): every node halts the

@@ -11,11 +11,23 @@ by randomized kernel-vs-scalar tests).
 
 Why int64 is enough — and where the envelope ends:
 
-* A product of two L-bit mantissas needs ``2L`` bits.
-* An aligned addition needs ``2L + 2`` bits *after sticky capping*
-  (below); the reciprocal numerator ``2**(2L - 1)`` needs ``2L``.
-* Hence every intermediate fits a signed 64-bit lane iff ``L <= 30``
+* A product of two L-bit mantissas is below ``2**(2L)``.
+* An aligned addition is below ``2**(2L + 1)`` *after sticky capping*
+  (below): ``m_hi << diff`` with ``diff <= L + 1`` plus an ``m_lo``
+  that is 1 whenever the gap is capped.  The reciprocal numerator
+  ``2**(2L - 1)`` needs ``2L`` bits.
+* Hence every intermediate fits a signed 64-bit lane for ``L <= 30``
   (:data:`repro.engines.dispatcher.MAX_BULK_PRECISION`).
+
+**Bit lengths from float64.**  Normalizing a sum or a product needs the
+bit length of a value below ``2**(2L + 1)``.  The kernels read it off
+the exponent of one float64 ``np.frexp``.  The conversion is exact
+below ``2**53``, so for ``L <= 26`` the exponent *is* the bit length.
+For ``27 <= L <= 30`` the conversion can round a value just below
+``2**k`` up to exactly ``2**k``, one too high; rounding is monotone
+and powers of two are representable, so it is never more than one
+off, and the lanes where ``num >> (e - 1)`` is zero are exactly those
+that need one subtracted.
 
 **Sticky capping.**  The scalar adder aligns mantissas with an
 arbitrary-precision shift ``m_hi << (e_hi - e_lo)``, which int64 cannot
@@ -62,43 +74,37 @@ def bit_length(x: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _round_up_mask(num, rshift, mode: str):
-    """Lanes whose quotient must be bumped by one (remainder nonzero)."""
-    if mode == "floor":
-        return None
-    has_rem = (num & ((np.int64(1) << rshift) - 1)) != 0
-    if mode == "ceil":
-        return has_rem
-    if mode == "nearest":
-        # Guard bit == top dropped bit; it is inside the remainder mask,
-        # so a zero remainder implies a zero guard — no extra gating.
-        return ((num >> (rshift - 1)) & 1) != 0
-    raise ValueError("unknown rounding mode {!r}".format(mode))
-
-
 def _normalize(num: np.ndarray, L: int, mode: str):
-    """Vectorized ``_normalize_int`` for ``num >= 2**L`` (``rshift >= 1``).
+    """Vectorized ``_normalize_int`` for ``2**L <= num < 2**(2L + 1)``.
 
-    Both call sites (add, mul) guarantee ``num`` is at least ``2**L``,
-    so the left-shift branch of the scalar normalizer never applies.
-    Returns ``(q, e)`` exactly as the scalar ``(mantissa, bit length
-    incl. overflow bump)`` pair.
+    Both call sites (add, mul) guarantee that range on every lane they
+    keep, so the left-shift branch of the scalar normalizer never
+    applies and the bit length comes from one float64 ``np.frexp``
+    (module docstring).  Returns the rounded mantissa and the right
+    shift that produced it, plus one where rounding carried into the
+    next binade: the scalar exponent is ``L`` plus that.
     """
-    e = bit_length(num)
-    rshift = e - L
-    q = num >> rshift
-    up = _round_up_mask(num, rshift, mode)
-    if up is not None:
-        q = q + up
-        overflow = q == (np.int64(1) << L)
-        q = np.where(overflow, q >> 1, q)
-        e = e + overflow
-    return q, e
+    e = np.frexp(num.astype(np.float64))[1]
+    if L > 26:  # above 2**53 the conversion may round up to 2**e
+        e -= (num >> (e - 1)) == 0
+    shift = e - L
+    if mode == "floor":
+        return num >> shift, shift
+    if mode == "ceil":
+        q = ((num - 1) >> shift) + 1
+    elif mode == "nearest":
+        # Ties round up: add the guard bit (the top dropped bit).
+        q = ((num >> (shift - 1)) + 1) >> 1
+    else:
+        raise ValueError("unknown rounding mode {!r}".format(mode))
+    carry = q >> L  # 1 exactly where q rounded up to 2**L
+    q >>= carry
+    return q, shift + carry
 
 
 def _check_range(e: np.ndarray, L: int) -> None:
     limit = (1 << L) - 1
-    if np.any(np.abs(e) > limit):
+    if e.size and (e.max() > limit or e.min() < -limit):
         bad = int(e[np.argmax(np.abs(e))])
         raise LFloatRangeError(
             "exponent {} outside [-{}, {}] for L={}".format(
@@ -119,35 +125,30 @@ def lf_add(ma, ea, mb, eb, L: int, mode: str):
     ea = np.asarray(ea, dtype=np.int64)
     mb = np.asarray(mb, dtype=np.int64)
     eb = np.asarray(eb, dtype=np.int64)
-    a_zero = ma == 0
-    b_zero = mb == 0
-    # Neutralize zero lanes with a harmless normalized value so the
-    # generic path below cannot trip on them; results are overwritten.
-    one = np.int64(1) << (L - 1)
-    ma_s = np.where(a_zero, one, ma)
-    ea_s = np.where(a_zero, 0, ea)
-    mb_s = np.where(b_zero, one, mb)
-    eb_s = np.where(b_zero, 0, eb)
-
-    a_is_hi = ea_s >= eb_s
-    m_hi = np.where(a_is_hi, ma_s, mb_s)
-    e_hi = np.where(a_is_hi, ea_s, eb_s)
-    m_lo = np.where(a_is_hi, mb_s, ma_s)
-    e_lo = np.where(a_is_hi, eb_s, ea_s)
-
-    diff = e_hi - e_lo
-    capped = diff > L
-    diff_eff = np.where(capped, L + 1, diff)
-    m_lo_eff = np.where(capped, 1, m_lo)
-    e_lo_eff = e_hi - diff_eff
-
-    num = (m_hi << diff_eff) + m_lo_eff  # < 2**(2L + 2) <= 2**62
-    q, e_n = _normalize(num, L, mode)
-    res_m = q
-    res_e = e_n + e_lo_eff - L
-
-    res_m = np.where(a_zero, mb, np.where(b_zero, ma, res_m))
-    res_e = np.where(a_zero, eb, np.where(b_zero, ea, res_e))
+    a_is_hi = ea >= eb
+    m_hi = np.where(a_is_hi, ma, mb)
+    m_lo = ma + mb
+    m_lo -= m_hi
+    e_lo = np.where(a_is_hi, eb, ea)
+    diff = ea - eb
+    np.abs(diff, out=diff)
+    if diff.max(initial=0) > L:
+        capped = diff > L
+        m_lo[capped] = 1
+        e_lo = np.where(capped, e_lo + diff - (L + 1), e_lo)
+        np.minimum(diff, L + 1, out=diff)
+    num = m_hi << diff
+    num += m_lo  # < 2**(2L + 1)
+    res_m, shift = _normalize(num, L, mode)
+    res_e = e_lo + shift
+    if not (ma.all() and mb.all()):
+        # A zero operand returns the other verbatim.  Its lane went
+        # through the path above with num < 2**L; numpy shifts never
+        # raise, so the garbage there is simply overwritten.
+        a_zero = ma == 0
+        b_zero = mb == 0
+        res_m = np.where(a_zero, mb, np.where(b_zero, ma, res_m))
+        res_e = np.where(a_zero, eb, np.where(b_zero, ea, res_e))
     _check_range(res_e, L)
     return res_m, res_e
 
@@ -168,9 +169,9 @@ def lf_mul(ma, ea, mb, eb, L: int, mode: str):
     ma_s = np.where(zero, one, ma)
     mb_s = np.where(zero, one, mb)
     num = ma_s * mb_s  # < 2**(2L) <= 2**60
-    q, e_n = _normalize(num, L, mode)
+    q, shift = _normalize(num, L, mode)
     res_m = np.where(zero, 0, q)
-    res_e = np.where(zero, 0, e_n + ea + eb - 2 * L)
+    res_e = np.where(zero, 0, shift + ea + eb - L)
     _check_range(res_e, L)
     return res_m, res_e
 

@@ -288,6 +288,15 @@ class SupervisionConfigError(ReproError, ValueError):
     """
 
 
+class SampleSizeError(ReproError, ValueError):
+    """A sampled run asks for a pivot count outside ``1 .. N``.
+
+    Raised by :func:`repro.core.pipeline.distributed_sampled_betweenness`, and so by
+    ``repro sample --pivots``.  It is also a ``ValueError``, so code
+    that catches that keeps working.
+    """
+
+
 class InvariantViolationError(CongestError):
     """A telemetry monitor observed a violated runtime invariant.
 
@@ -320,8 +329,13 @@ class ProtocolError(ReproError):
     """
 
 
-class ArithmeticModeError(ReproError):
-    """An arithmetic value or mode was used inconsistently."""
+class ArithmeticModeError(ReproError, ValueError):
+    """An arithmetic value or mode was used inconsistently.
+
+    Also raised for an arithmetic mode spec that names no mode, such as
+    ``lfloat-x``.  It is also a ``ValueError``, so code that catches
+    that keeps working.
+    """
 
 
 class LFloatRangeError(ArithmeticModeError):

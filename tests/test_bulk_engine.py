@@ -36,6 +36,7 @@ from repro.exceptions import (
 from repro.graphs import (
     Graph,
     balanced_tree,
+    barabasi_albert_graph,
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
@@ -100,6 +101,52 @@ def test_lf_add_matches_scalar(L, mode):
     for i in range(len(sa)):
         want = sa[i].add(sb[i], mode)
         assert (int(rm[i]), int(re[i])) == (want.mantissa, want.exponent), i
+
+
+@pytest.mark.parametrize("L", [26, 27, 28, 29, 30])
+@pytest.mark.parametrize("mode", list(Rounding))
+def test_lf_add_matches_scalar_where_float64_rounds(L, mode):
+    # All-ones mantissas at gap L align to 2**(2L) - 1, which float64
+    # rounds up to 2**(2L) once L >= 27; gaps L - 1 and L + 1 sit on
+    # either side of the sticky cap.
+    top = (1 << L) - 1
+    gaps = [L - 1, L, L + 1]
+    ma = np.full(6, top, dtype=np.int64)
+    ea = np.array(gaps + [0, 0, 0], dtype=np.int64)
+    eb = np.array([0, 0, 0] + gaps, dtype=np.int64)
+    rm, re = lf_add(ma, ea, ma, eb, L, mode.value)
+    for i in range(6):
+        want = LFloat(top, int(ea[i]), L).add(LFloat(top, int(eb[i]), L), mode)
+        assert (int(rm[i]), int(re[i])) == (want.mantissa, want.exponent), i
+
+
+@pytest.mark.parametrize("mode", list(Rounding))
+def test_ordered_fold_matches_a_scalar_left_fold(mode):
+    # One hub group of 60 rows among many groups of 0-2 rows: the fold
+    # must still add each group's rows one by one in row order.
+    L = 12
+    rng = random.Random(4000)
+    counts = [rng.randrange(3) for _ in range(40)]
+    counts[17] = 60
+    first = np.cumsum([0] + counts[:-1]).astype(np.int64)
+    src_m, src_e, src = _random_lfloats(rng, L, sum(counts))
+    acc_m, acc_e, acc = _random_lfloats(rng, L, len(counts))
+    got = bulk._ordered_fold(
+        acc_m, acc_e, src_m, src_e, first,
+        np.array(counts, dtype=np.int64), L, mode.value,
+    )
+    for g, (start, count) in enumerate(zip(first.tolist(), counts)):
+        want = acc[g]
+        for row in src[start: start + count]:
+            want = want.add(row, mode)
+        assert (int(got[0][g]), int(got[1][g])) == (
+            want.mantissa, want.exponent
+        ), g
+    empty = np.empty(0, dtype=np.int64)
+    out = bulk._ordered_fold(
+        empty.copy(), empty.copy(), empty, empty, empty, empty, L, mode.value
+    )
+    assert [a.size for a in out] == [0, 0]
 
 
 @pytest.mark.parametrize("L", [4, 8, 17, 30])
@@ -274,6 +321,19 @@ def test_bulk_matches_sweep_on_variants(graph, variant):
         for engine in ("sweep", "bulk")
     }
     assert runs["sweep"] == runs["bulk"]
+
+
+@pytest.mark.parametrize("arithmetic", ["lfloat-12", "lfloat-26", "lfloat-30"])
+def test_bulk_matches_event_on_a_hub_heavy_graph(arithmetic):
+    # A degree-22 hub gives the BFS and psi folds groups of up to 22 rows
+    # next to many single-row ones, at the precisions where the adder's
+    # float64 bit length is exact (12, 26) and where it is corrected (30).
+    graph = barabasi_albert_graph(60, 4, seed=1)
+    runs = [
+        _fp(distributed_betweenness(graph, arithmetic=arithmetic, engine=e))
+        for e in ("event", "bulk")
+    ]
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------

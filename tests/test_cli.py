@@ -94,6 +94,27 @@ class TestCommands:
         assert reason in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("bc", "--graph", "cycle:8", "--arithmetic", "lfloat-x"),
+             "unknown arithmetic mode 'lfloat-x'"),
+            (("bc", "--graph", "cycle:8", "--arithmetic", "bogus"),
+             "unknown arithmetic mode 'bogus'"),
+            (("bc", "--file", "/nonexistent/graph.edges"),
+             "cannot read /nonexistent/graph.edges: "),
+            (("sample", "--graph", "path:5"),
+             "got num_samples=8 with N=5"),
+        ],
+        ids=["lfloat-x", "bogus-arithmetic", "missing-file", "pivots-above-n"],
+    )
+    def test_bad_input_reports_one_line_error(self, argv, reason, capsys):
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reason in err
+        assert len(err.splitlines()) == 1
+
     def test_apsp(self, capsys):
         assert self.run("apsp", "--graph", "star:6") == 0
         assert "closeness" in capsys.readouterr().out

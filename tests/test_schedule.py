@@ -18,7 +18,7 @@ from repro.core import (
     tree_walk_lengths,
     verify_separation,
 )
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, UnknownNodeError
 from repro.graphs import (
     diameter,
     figure1_graph,
@@ -97,6 +97,20 @@ class TestTreeStructure:
         g = karate_club_graph()
         total_hops = sum(h for _, h in tree_walk_lengths(g, 0))
         assert total_hops <= 2 * (g.num_nodes - 1)
+
+    @pytest.mark.parametrize("extra", [0, 4])
+    @pytest.mark.parametrize(
+        "helper",
+        [predict_rounds, expected_phase_schedule, bfs_tree_children,
+         dfs_preorder, tree_walk_lengths],
+        ids=lambda f: f.__name__,
+    )
+    def test_out_of_range_root_raises_typed_error(self, helper, extra):
+        g = path_graph(5)
+        root = g.num_nodes + extra
+        with pytest.raises(UnknownNodeError, match=r"^root {} is not a node "
+                           r"of the graph \(N=5\)$".format(root)):
+            helper(g, root=root)
 
 
 class TestStartTimeModes:
