@@ -10,7 +10,8 @@ across several seeds on both engines, and fails unless
 * the unrecoverable plan (a permanent crash) terminates early with a
   completeness report naming the crashed node and a partial
   betweenness that matches a Brandes restricted to the surviving
-  sources.
+  sources, and sweep, event and a two-worker shard run stall at the
+  same round with the same complete sources and partial values.
 
 Usage::
 
@@ -37,6 +38,8 @@ from repro.graphs import connected_erdos_renyi_graph, figure1_graph  # noqa: E40
 
 SEEDS = (1, 2, 3, 4, 5)
 ENGINES = ("sweep", "event")
+#: (engine, workers) for the unrecoverable plan's stall-parity check.
+STALL_ENGINES = (("sweep", 1), ("event", 1), ("shard", 2))
 
 
 def _plans(seed):
@@ -127,27 +130,47 @@ def main() -> int:
                     "run".format(seed, name)
                 )
 
-    # Unrecoverable plan: early termination + honest partial result.
+    # Unrecoverable plan: early termination + honest partial result,
+    # the same on every engine.
     fig = figure1_graph()
-    partial = distributed_betweenness(
-        fig,
-        arithmetic="exact",
-        faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
-        resilient=True,
-    )
-    report = partial.completeness
-    checked += 1
-    if report.complete or report.crashed_nodes != (3,):
-        failures.append("permanent crash: completeness report wrong")
-    else:
+    stalls = {}
+    for engine, workers in STALL_ENGINES:
+        partial = distributed_betweenness(
+            fig,
+            arithmetic="exact",
+            engine=engine,
+            workers=workers,
+            faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
+            resilient=True,
+        )
+        report = partial.completeness
+        checked += 1
+        if report.complete or report.crashed_nodes != (3,):
+            failures.append(
+                "permanent crash, engine {}: completeness report "
+                "wrong".format(engine)
+            )
+            continue
         subset = _brandes_subset(fig, report.complete_sources)
         if any(
             partial.betweenness_exact[v] != subset[v] for v in fig.nodes()
         ):
             failures.append(
-                "permanent crash: partial values diverge from the "
-                "source-subset Brandes"
+                "permanent crash, engine {}: partial values diverge from "
+                "the source-subset Brandes".format(engine)
             )
+        stalls["{} W={}".format(engine, workers)] = (
+            report.stalled_round,
+            report.complete_sources,
+            sorted(partial.betweenness_exact.items()),
+        )
+    if len(set(map(repr, stalls.values()))) > 1:
+        failures.append(
+            "permanent crash: engines stall differently (stalled round "
+            "{})".format(
+                {name: stall[0] for name, stall in stalls.items()}
+            )
+        )
 
     if failures:
         for line in failures:
@@ -155,8 +178,9 @@ def main() -> int:
         return 1
     print(
         "OK: {} chaos runs recovered exactly and deterministically; "
-        "permanent crash degraded to an honest partial result".format(
-            checked
+        "permanent crash degraded to an honest partial result, stalled "
+        "at round {} on every engine".format(
+            checked, next(iter(stalls.values()))[0]
         )
     )
     return 0

@@ -18,9 +18,13 @@ round in four steps:
 4. :meth:`~RoundKernel.close_round` runs the frame audit and hands over
    the round's per-edge loads.
 
-Only the outer loops live elsewhere: termination, the round limit and
-fast-forwarding in :class:`~repro.congest.simulator.Simulator`, and the
-cross-shard frame exchange in :mod:`repro.shard.runtime`.
+:func:`drive_rounds` is the one outer loop around a round: the tick,
+the stall deadline, the round limit, the termination test, the idle
+fast-forward and the per-round stats.  It drives a *round source*.  In
+one process (the sweep and event engines) the source is a
+:class:`RoundKernel`; in a sharded run it is the coordinator of
+:mod:`repro.shard.runtime`, whose round is a barrier exchange with the
+shard workers.
 
 Routing is one decision, an optional node -> shard owner table.
 Without one (a single process) every send goes to the local in-flight
@@ -35,7 +39,12 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.node import Inbox, NodeAlgorithm, RoundContext
-from repro.exceptions import CongestViolationError, WireCodecError
+from repro.exceptions import (
+    CongestViolationError,
+    SimulationNotTerminatedError,
+    SimulationStalledError,
+    WireCodecError,
+)
 from repro.wire import Message, WireFormat, encode_frame
 
 #: Per-round accounting buffer: directed edge -> [messages, bits].
@@ -44,6 +53,10 @@ EdgeLoad = Dict[Tuple[int, int], List[int]]
 
 class RoundKernel:
     """The round state of one network or shard, and its four steps.
+
+    In one process the kernel is also the round source of
+    :func:`drive_rounds` (:meth:`run_round` and the horizon queries
+    below it).
 
     Parameters
     ----------
@@ -71,6 +84,8 @@ class RoundKernel:
         self.members = [
             v for v in range(len(nodes)) if owner is None or owner[v] == shard
         ]
+        #: Members not done; :meth:`step` keeps it current.
+        self.pending = sum(1 for v in self.members if not nodes[v].done)
         self.wire: WireFormat = sim.wire
         self.budget = sim.bit_budget if sim.strict else None
         self.faults = sim.faults
@@ -298,6 +313,7 @@ class RoundKernel:
                     self._wake(node_id, wake_round)
             if node.done != was_done:
                 done_changes.append((node_id, node.done))
+                self.pending += -1 if node.done else 1
         if profiler is not None:
             profiler.add("engine.step", perf_counter() - started)
             profiler.bump("engine.active_node_steps", len(active))
@@ -334,6 +350,61 @@ class RoundKernel:
         return edge_load
 
     # ------------------------------------------------------------------
+    # round source of drive_rounds (one process)
+    # ------------------------------------------------------------------
+    def run_round(self, round_number: int) -> EdgeLoad:
+        """Steps 1-4 for one round; returns its per-edge loads."""
+        had_traffic = self.deliver(round_number)
+        active = self.activate(round_number)
+        if active:
+            self.step(round_number, active)
+        elif had_traffic and self.profiler is not None:
+            # Every arrival this round was passive: the round elapses
+            # (the messages were on the wire) but no node steps.
+            self.profiler.bump("engine.passive_rounds")
+        return self.close_round(round_number)
+
+    def arrivals(self, round_number: int) -> bool:
+        """Whether anything is delivered in ``round_number``."""
+        future = self.future
+        return bool(self.in_flight) or (
+            bool(future) and future[0][0] <= round_number
+        )
+
+    def next_future(self) -> Optional[int]:
+        """The due round of the earliest delayed delivery, if any."""
+        return self.future[0][0] if self.future else None
+
+    def next_wake(self, round_number: int) -> Optional[int]:
+        """The earliest registered self-wake; every round in sweep mode,
+        which steps every node every round."""
+        if self.sweep:
+            return round_number
+        return self.wake_heap[0][0] if self.wake_heap else None
+
+    @property
+    def last_progress(self) -> int:
+        """The last round with fresh traffic (fault runs only)."""
+        return self.faults.last_progress_round
+
+    def unfinished(self) -> Tuple[int, ...]:
+        """Ids of the members not done."""
+        nodes = self.nodes
+        return tuple(
+            nodes[v].node_id for v in self.members if not nodes[v].done
+        )
+
+    def stall(self, round_number: int) -> None:
+        """Raise the stall :func:`drive_rounds` declared."""
+        faults = self.faults
+        raise SimulationStalledError(
+            round_number,
+            faults.last_progress_round,
+            self.unfinished(),
+            faults.crashed_nodes(round_number),
+        )
+
+    # ------------------------------------------------------------------
     # barrier snapshot (shard checkpoints)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -366,6 +437,7 @@ class RoundKernel:
         self.deferred = [None] * n
         for v, box in state["deferred"].items():
             self.deferred[v] = box
+        self.pending = sum(1 for v in self.members if not self.nodes[v].done)
         self.receivers = set()
         self.wake_heap = list(state["wake_heap"])
         self.wake_pending = [set() for _ in range(n)]
@@ -375,6 +447,96 @@ class RoundKernel:
         if self.frames is not None:
             self.frames = {}
         self.outbox = {}
+
+
+def drive_rounds(source, sim, round_number: int = 0) -> int:
+    """Drive ``source`` round by round until the run ends; return the
+    final round (also stored as ``sim.stats.rounds``).
+
+    ``sim`` is the :class:`~repro.congest.simulator.Simulator` whose
+    stats, round limit, telemetry and fault plan apply.  The source
+    keeps ``pending`` (nodes not done) and ``last_progress`` (the last
+    round with fresh traffic), reports its horizons (``arrivals``,
+    ``next_wake``, ``next_future``) and its ``unfinished`` node ids,
+    runs one round (``run_round`` returns the round's per-edge loads)
+    and raises its own stall (``stall``).
+
+    A round nothing arrives in and no node wakes in is idle: by the wake
+    contract no node would change state, so the loop fast-forwards to
+    the next wake, delayed delivery or stall deadline.  With none of
+    them the network is silent for good, and the counter runs out to
+    the round limit so the failure matches sweep mode's.
+
+    Crash-aware termination: a fault run stalls at the first round more
+    than ``patience`` rounds after its last fresh traffic while nodes
+    are pending.  Patience floors at 2N: the protocol's legitimate
+    quiet stretches (the aggregation schedule's gaps and its
+    finish-horizon wait) are O(diameter) < 2N rounds, while recovery
+    churn repeats every <= 16 rounds, so 2N rounds of no fresh traffic
+    cannot be a healthy run.  Every engine visits that deadline round,
+    so every engine stalls at the same round.
+    """
+    stats = sim.stats
+    max_rounds = sim.max_rounds
+    telemetry = sim.telemetry
+    profiler = None
+    on_tick = None
+    on_round_end = None
+    if telemetry is not None:
+        profiler = telemetry.profiler
+        on_round_end = telemetry.on_round_end
+        # Streaming/progress tick: None on the fast path, so a run
+        # without a bus or estimator pays one identity check a round.
+        if getattr(telemetry, "wants_ticks", False):
+            on_tick = telemetry.on_round_tick
+    patience = None
+    if sim.faults is not None:
+        patience = max(sim.faults.plan.stall_patience, 2 * len(sim.nodes))
+    while True:
+        if on_tick is not None:
+            on_tick(round_number)
+        if (
+            patience is not None
+            and source.pending
+            and round_number - source.last_progress > patience
+        ):
+            source.stall(round_number)
+        if round_number > max_rounds:
+            raise SimulationNotTerminatedError(
+                round_number, max_rounds, source.unfinished(), sim.graph.name
+            )
+        # Round 0 always runs, so an empty network ends after it.
+        if round_number > 0 and not source.arrivals(round_number):
+            future = source.next_future()
+            if not source.pending and future is None:
+                break
+            wake = source.next_wake(round_number)
+            if wake is None or wake > round_number:
+                skip_to = max_rounds + 1
+                if patience is not None and source.pending:
+                    deadline = source.last_progress + patience + 1
+                    skip_to = min(skip_to, deadline)
+                for bound in (wake, future):
+                    if bound is not None and bound < skip_to:
+                        skip_to = bound
+                if profiler is not None:
+                    profiler.bump(
+                        "engine.fast_forwarded_rounds",
+                        skip_to - round_number,
+                    )
+                while round_number < skip_to:
+                    stats.start_round()
+                    round_number += 1
+                continue
+        edge_load = source.run_round(round_number)
+        stats.start_round()
+        if edge_load:
+            stats.observe_round(round_number, edge_load)
+            if on_round_end is not None:
+                on_round_end(round_number, edge_load)
+        round_number += 1
+    stats.rounds = round_number
+    return round_number
 
 
 def audit_frames(

@@ -25,7 +25,8 @@ reproducible.
 
 The pure-Python engines are one round kernel
 (:class:`~repro.congest.kernel.RoundKernel`) in two modes, driven by
-one outer loop in :meth:`Simulator.run`:
+the outer loop every round engine shares,
+:func:`~repro.congest.kernel.drive_rounds`:
 
 * ``engine="sweep"`` (the default) calls ``on_round`` on **every** node
   **every** round, exactly like a lockstep hardware network would.  It
@@ -59,10 +60,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.congest.kernel import RoundKernel
+from repro.congest.kernel import RoundKernel, drive_rounds
 from repro.congest.node import NodeAlgorithm, NodeFactory
 from repro.congest.stats import CutTracker, SimulationStats
-from repro.exceptions import SimulationNotTerminatedError
 from repro.wire import WireFormat
 from repro.graphs.graph import Graph
 
@@ -320,93 +320,10 @@ class Simulator:
 
             stats = run_shard(self)
         else:
-            stats = self._run_rounds()
+            drive_rounds(RoundKernel(self, sweep=self.engine == "sweep"), self)
+            stats = self.stats
         if telemetry is not None:
             telemetry.on_run_end(stats)
-        return stats
-
-    def _run_rounds(self) -> SimulationStats:
-        """The sweep/event outer loop around one :class:`RoundKernel`."""
-        sweep = self.engine == "sweep"
-        kernel = RoundKernel(self, sweep=sweep)
-        nodes = self.nodes
-        stats = self.stats
-        faults = self.faults
-        max_rounds = self.max_rounds
-        telemetry = self.telemetry
-        profiler = None
-        on_tick = None
-        on_round_end = None
-        if telemetry is not None:
-            profiler = telemetry.profiler
-            on_round_end = telemetry.on_round_end
-            # Streaming/progress tick: None on the fast path, so a run
-            # without a bus or estimator pays one identity check a round.
-            if getattr(telemetry, "wants_ticks", False):
-                on_tick = telemetry.on_round_tick
-        pending = sum(1 for node in nodes if not node.done)
-        round_number = 0
-        while True:
-            if on_tick is not None:
-                on_tick(round_number)
-            if faults is not None:
-                faults.check_stalled(round_number, self)
-            if round_number > max_rounds:
-                raise SimulationNotTerminatedError(
-                    round_number,
-                    max_rounds,
-                    tuple(n.node_id for n in nodes if not n.done),
-                    self.graph.name,
-                )
-            had_traffic = kernel.deliver(round_number)
-            if (
-                not had_traffic
-                and round_number > 0
-                and not pending
-                and not kernel.future
-            ):
-                break
-            active = kernel.activate(round_number)
-            # Round 0 is always stepped, even with nobody active, so an
-            # empty network ends after it in both modes.
-            if not active and round_number > 0 and not sweep:
-                if had_traffic:
-                    # Every arrival this round was passive: the round
-                    # elapses (the messages were on the wire) but no
-                    # node needs stepping.
-                    if profiler is not None:
-                        profiler.bump("engine.passive_rounds")
-                    skip_to = round_number + 1
-                else:
-                    # Idle round(s): by the wake contract no node would
-                    # change state, so fast-forward to the next
-                    # registered wake or delayed delivery.  With neither
-                    # the network is permanently silent: run the counter
-                    # out so the failure matches sweep mode's.
-                    skip_to = max_rounds + 1
-                    if kernel.wake_heap:
-                        skip_to = min(skip_to, kernel.wake_heap[0][0])
-                    if kernel.future:
-                        skip_to = min(skip_to, kernel.future[0][0])
-                    if profiler is not None:
-                        profiler.bump(
-                            "engine.fast_forwarded_rounds",
-                            skip_to - round_number,
-                        )
-                while round_number < skip_to:
-                    stats.start_round()
-                    round_number += 1
-                continue
-            stats.start_round()
-            for _node_id, done in kernel.step(round_number, active):
-                pending += -1 if done else 1
-            edge_load = kernel.close_round(round_number)
-            if edge_load:
-                stats.observe_round(round_number, edge_load)
-                if on_round_end is not None:
-                    on_round_end(round_number, edge_load)
-            round_number += 1
-        stats.rounds = round_number
         return stats
 
 

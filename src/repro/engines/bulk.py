@@ -411,7 +411,7 @@ def _psi_recursion(plan: _Plan, config, level_keys, settled):
     plan.val_e = val_e
 
 
-def _betweenness_fold(plan: _Plan):
+def _betweenness_fold(plan: _Plan, settle):
     """Per-node ledger fold of line 17-18, in settle-round order."""
     N = plan.N
     L = plan.L
@@ -424,7 +424,6 @@ def _betweenness_fold(plan: _Plan):
     # exact skip (psi_add(total, zero) returns total verbatim).
     dep_m[own] = 0
     dep_e[own] = 0
-    settle = np.repeat(plan.T, N) + plan.dist_flat
     dm = dep_m.reshape(S, N).T
     de = dep_e.reshape(S, N).T
     order = np.argsort(settle.reshape(S, N).T, axis=1)
@@ -487,12 +486,12 @@ class _Sends:
         return int(deg[self.broadcasts[1]].sum()) + self.unicasts[0].size
 
 
-def _send_tables(plan: _Plan, wire) -> _Sends:
+def _send_tables(plan: _Plan, wire, settle, value_round) -> _Sends:
     """Build both send tables straight from the plan.
 
     The control traffic is O(N) and assembled in Python; the BfsWave
-    rows (S * N) and the AggValue rows (one per predecessor link) are
-    array ops.
+    rows (S * N, at the ``settle`` rounds) and the AggValue rows (one
+    per predecessor link, at the ``value_round`` rounds) are array ops.
     """
     N = plan.N
     width = _widths(wire, N, plan.L)
@@ -535,18 +534,15 @@ def _send_tables(plan: _Plan, wire) -> _Sends:
         _drain_rank(N, py[:, 0], py[:, 1], py[:, 4], py[:, 5]),
     ]
 
-    # AggValue sends: pair (s, v) to each predecessor, at
-    # base + T_s + D - d(s, v), in sorted-predecessor order.
+    # AggValue sends: pair (s, v) to each predecessor, in
+    # sorted-predecessor order.
     if plan.aggregate and plan.pred_rows.size:
         pair_rows = plan.pair_rows
-        send_round = (
-            plan.base + plan.diameter + np.repeat(plan.T, N) - plan.dist_flat
-        )
         counts = np.diff(plan.pred_indptr)
         seq = np.arange(pair_rows.size, dtype=np.int64) - np.repeat(
             plan.pred_indptr[:-1], counts
         )
-        av_r = send_round[pair_rows]
+        av_r = value_round[pair_rows]
         av_snd = pair_rows % N
         av = (
             av_r, av_snd, plan.pred_rows,
@@ -561,10 +557,7 @@ def _send_tables(plan: _Plan, wire) -> _Sends:
     nodes = np.arange(N, dtype=np.int64)
     sends = _Sends()
     sends.broadcasts = (
-        np.concatenate((
-            np.asarray(depth, dtype=np.int64),
-            np.repeat(plan.T, N) + plan.dist_flat,
-        )),
+        np.concatenate((np.asarray(depth, dtype=np.int64), settle)),
         np.tile(nodes, S + 1),
         np.concatenate((
             np.full(N, _SLOT_TREE_WAVE, dtype=np.int64),
@@ -1064,8 +1057,12 @@ def _fill_ledger(plan: _Plan, ledger: NodeLedger) -> None:
             sent_col[row] = 1 if source != v else 0
 
 
-def _populate_nodes(sim, plan: _Plan) -> None:
-    """Back-fill node/phase state to match a completed sweep run."""
+def _populate_nodes(sim, plan: _Plan, value_round) -> None:
+    """Back-fill node/phase state to match a completed sweep run.
+
+    ``value_round`` is the run's last use of that array: its own-pair
+    lanes are overwritten here.
+    """
     N = plan.N
     L = plan.L
     S = len(plan.src)
@@ -1076,10 +1073,7 @@ def _populate_nodes(sim, plan: _Plan) -> None:
     if aggregate:
         # Per-node ascending aggregation send rounds, one row per node:
         # a source's own pair parks at the int64 max, so it sorts last.
-        send_round = (
-            plan.base + plan.diameter + plan.T[:, None]
-            - plan.dist_flat.reshape(S, N)
-        )
+        send_round = value_round.reshape(S, N)
         send_round[np.arange(S), plan.src] = np.iinfo(np.int64).max
         send_rounds = np.sort(send_round.T, axis=1).tolist()
     s_idx_of = plan.s_idx_of.tolist()
@@ -1171,8 +1165,16 @@ def _emit_phase_marks(sim, plan: _Plan) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
-def _compute(sim) -> _Plan:
-    """Derive the complete plan: schedule, arrays, results."""
+def _compute(sim):
+    """Derive the complete plan: schedule, arrays, results.
+
+    Returns ``(plan, settle, value_round)``.  The two S * N round arrays
+    are per-run: ``settle`` holds T_s + d(s, v), the round pair (s, v)
+    settles and broadcasts its BfsWave, and ``value_round`` (None on
+    counting-only runs) holds base + D + T_s - d(s, v), the round the
+    pair sends its AggValue.  The plan, which held results keep, holds
+    neither.
+    """
     graph = sim.graph
     N = graph.num_nodes
     node0 = sim.nodes[0]
@@ -1224,8 +1226,8 @@ def _compute(sim) -> _Plan:
 
     # Completion convergecast: eccentricities, done-report rounds, and
     # the root's counting result.
-    dist2d = plan.dist_flat.reshape(S, N)
-    ecc = dist2d.max(axis=0).tolist()
+    settle = np.repeat(plan.T, N) + plan.dist_flat
+    ecc = plan.dist_flat.reshape(S, N).max(axis=0).tolist()
     bottom_up = sorted(range(N), key=depth.__getitem__, reverse=True)
     subtree_ecc = [0] * N
     for v in bottom_up:
@@ -1235,7 +1237,7 @@ def _compute(sim) -> _Plan:
                 e = subtree_ecc[c]
         subtree_ecc[v] = e
     plan.subtree_ecc = subtree_ecc
-    last_settle = (plan.T[:, None] + dist2d).max(axis=0).tolist()
+    last_settle = settle.reshape(S, N).max(axis=0).tolist()
     plan.done_send = done_schedule(
         depth, children, plan.r_census, last_settle, config.sources is None
     )
@@ -1244,10 +1246,15 @@ def _compute(sim) -> _Plan:
     plan.t_max = int(plan.T.max())
     plan.base = plan.r_result + plan.diameter + 1
     plan.horizon = plan.base + plan.t_max + plan.diameter
+    value_round = None
     if plan.aggregate:
         plan.done_round = [plan.horizon + 1] * N
         _psi_recursion(plan, config, level_keys, settled)
-        _betweenness_fold(plan)
+        _betweenness_fold(plan, settle)
+        value_round = (
+            plan.base + plan.diameter
+            + (plan.T[:, None] - plan.dist_flat.reshape(S, N))
+        ).ravel()
     else:
         # Counting-only runs (distributed APSP): every node halts the
         # round its AggStart arrives; the last delivery reaches the
@@ -1257,7 +1264,7 @@ def _compute(sim) -> _Plan:
         plan.val_m = plan.val_e = None
         plan.bet_m = plan.bet_e = None
     _cut_token_walk(plan, token_sends)
-    return plan
+    return plan, settle, value_round
 
 
 def _cut_token_walk(plan: _Plan, token_sends) -> None:
@@ -1298,8 +1305,9 @@ def run_bulk(sim):
     telemetry = sim.telemetry
     profiler = telemetry.profiler if telemetry is not None else None
     started = perf_counter()
-    plan = _compute(sim)
-    sends = _send_tables(plan, sim.wire)
+    plan, settle, value_round = _compute(sim)
+    sends = _send_tables(plan, sim.wire, settle, value_round)
+    del settle  # the BfsWave rows hold a copy
     if profiler is not None:
         profiler.add("engine.bulk.plan", perf_counter() - started)
         profiler.bump("engine.bulk.sends", sends.total(plan.deg))
@@ -1335,6 +1343,6 @@ def run_bulk(sim):
         if profiler is not None:
             profiler.add("engine.bulk.stats", perf_counter() - started)
     _emit_phase_marks(sim, plan)
-    _populate_nodes(sim, plan)
+    _populate_nodes(sim, plan, value_round)
     sim.stats.rounds = plan.rounds
     return sim.stats

@@ -160,7 +160,7 @@ class SimulationNotTerminatedError(CongestError):
 class SimulationStalledError(CongestError):
     """Fault injection starved the run of progress (crash-aware termination).
 
-    Raised by the fault injector when no *fresh* protocol traffic (a
+    Raised by the round driver when no *fresh* protocol traffic (a
     send that is neither a retransmission nor an acknowledgement) has
     appeared for ``FaultPlan.stall_patience`` consecutive rounds while
     nodes are still pending — the signature of an unrecoverable fault

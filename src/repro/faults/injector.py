@@ -1,6 +1,6 @@
 """The fault injector: deterministic realization of a FaultPlan.
 
-The simulator consults one :class:`FaultInjector` at three points:
+The simulator consults one :class:`FaultInjector` at two points:
 
 * per enqueued message — :meth:`FaultInjector.deliveries` maps the
   reliable delivery (next round, original message) to a list of
@@ -8,12 +8,15 @@ The simulator consults one :class:`FaultInjector` at three points:
   delay, two entries for a duplication, a *different* message object
   for undetected corruption;
 * per node per round — :meth:`FaultInjector.node_crashed` implements
-  the fail-pause crash windows;
-* per round — :meth:`FaultInjector.check_stalled` is the crash-aware
-  termination detector: when recovery traffic (retransmissions, acks)
-  is the only thing on the wire for ``stall_patience`` rounds, the run
-  is declared stalled and ends with a structured error instead of
-  spinning to the round limit.
+  the fail-pause crash windows.
+
+Along the way the injector records the last round that carried fresh
+(non-recovery) traffic, ``last_progress_round``.  The round driver
+(:func:`repro.congest.kernel.drive_rounds`) reads it for crash-aware
+termination: when recovery traffic (retransmissions, acks) is the only
+thing on the wire for ``stall_patience`` rounds, the run is declared
+stalled and ends with a structured error instead of spinning to the
+round limit.
 
 Determinism
 -----------
@@ -47,7 +50,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import SimulationStalledError, WireCodecError
+from repro.exceptions import WireCodecError
 from repro.faults.plan import FaultPlan
 from repro.wire import Message
 
@@ -420,33 +423,6 @@ class FaultInjector:
         if inner is not None:
             return message.with_message(mutated)
         return mutated
-
-    # ------------------------------------------------------------------
-    # crash-aware termination detection
-    # ------------------------------------------------------------------
-    def check_stalled(self, round_number: int, simulator) -> None:
-        """Raise :class:`SimulationStalledError` on a starved run.
-
-        Patience floors at ``2 N``: the protocol has legitimate
-        scheduled-quiet stretches (the aggregation schedule's gaps and
-        its finish-horizon wait) bounded by O(diameter) < 2N rounds,
-        while recovery churn repeats every <= 16 rounds — so 2N rounds
-        of zero fresh traffic cannot be a healthy run.
-        """
-        patience = max(self.plan.stall_patience, 2 * len(simulator.nodes))
-        if round_number - self.last_progress_round <= patience:
-            return
-        pending = tuple(
-            node.node_id for node in simulator.nodes if not node.done
-        )
-        if not pending:
-            return
-        raise SimulationStalledError(
-            round_number,
-            self.last_progress_round,
-            pending,
-            self.crashed_nodes(round_number),
-        )
 
     # ------------------------------------------------------------------
     def _trace(

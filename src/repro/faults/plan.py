@@ -171,8 +171,8 @@ class FaultPlan:
     link_outages:
         Scheduled link-down intervals.
     stall_patience:
-        Rounds without fresh traffic before the injector raises
-        :class:`~repro.exceptions.SimulationStalledError`.
+        Rounds without fresh traffic (floored at 2N) before the round
+        driver raises :class:`~repro.exceptions.SimulationStalledError`.
     worker_hangs, slow_workers:
         Infrastructure faults against the sharded runtime's *processes*
         rather than the protocol's messages: scheduled worker wedges

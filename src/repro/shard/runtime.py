@@ -13,12 +13,15 @@ Each worker steps its shard's nodes through the same
 :class:`~repro.congest.kernel.RoundKernel` the single-process event
 engine uses (wake heaps, passive-message deferral, crash filtering,
 fault pipeline), with a node -> shard owner table routing sends to
-other shards into a cross-shard outbox.  The coordinator replicates the
-event engine's *outer* loop decision for decision — which round to process,
-when to fast-forward idle stretches, when to declare termination,
-stalling, or the round limit — from per-round worker reports, so a
-sharded run is **bit-identical** to ``engine="event"``: same rounds,
-same bits, same messages, same worst edge, same betweenness.
+other shards into a cross-shard outbox.  The coordinator is a round
+source of the outer loop every round engine shares,
+:func:`~repro.congest.kernel.drive_rounds`: its round is one barrier
+exchange with the workers, and its horizons (arrivals, wakes, delayed
+deliveries, last progress) come from their per-round reports.  The
+loop therefore processes, fast-forwards, terminates, stalls and aborts
+exactly as it does for ``engine="event"``, and a sharded run is
+**bit-identical** to it: same rounds, same bits, same messages, same
+worst edge, same betweenness.
 
 Cross-shard traffic travels as encoded wire frames batched per
 (src shard, dst shard) per round (:mod:`repro.shard.frames`), decoded
@@ -45,16 +48,16 @@ import heapq
 import os
 import pickle
 import time
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.congest.kernel import RoundKernel
+from repro.congest.kernel import EdgeLoad, RoundKernel, drive_rounds
 from repro.congest.stats import SimulationStats
 from repro.exceptions import (
     CheckpointError,
     CheckpointPause,
-    SimulationNotTerminatedError,
+    CongestViolationError,
     SimulationStalledError,
 )
 from repro.shard.checkpoint import (
@@ -80,6 +83,52 @@ _FAULT_COUNTERS = (
 def _unwrap(node):
     """The protocol node behind an optional transport wrapper."""
     return getattr(node, "inner", node)
+
+
+def _ledger_words(nodes) -> int:
+    """Ledger storage words held by ``nodes``."""
+    from repro.core.records import ledger_storage_totals
+
+    ledgers = (getattr(_unwrap(node), "ledger", None) for node in nodes)
+    return ledger_storage_totals(l for l in ledgers if l is not None)["words"]
+
+
+def _handover(v: int, node) -> Dict[str, Any]:
+    """What the coordinator needs to stand in for a dead node: its
+    settled (source, sigma, psi) ledger rows and its result fields."""
+    inner = _unwrap(node)
+    agg = getattr(inner, "aggregation", None)
+    counting = getattr(inner, "counting", None)
+    ledger = getattr(inner, "ledger", None)
+    rows = []
+    if ledger is not None:
+        source_col = ledger.source_col
+        sigma_col = ledger.sigma_col
+        psi_col = ledger.psi_col
+        for row in range(len(ledger)):
+            if psi_col[row] is not None:
+                rows.append((source_col[row], sigma_col[row], psi_col[row]))
+    return {
+        "node": v,
+        "rows": rows,
+        "sent": inner.sent_sources(),
+        "diameter": getattr(agg, "diameter", None),
+        "start": getattr(counting, "own_start_time", None),
+        "done": node.done,
+    }
+
+
+def _patch_node(node, diameter, start, done) -> None:
+    """Write a remotely computed node's result fields into this
+    process's copy."""
+    inner = _unwrap(node)
+    if hasattr(inner, "aggregation"):
+        inner.aggregation.diameter = diameter
+    if hasattr(inner, "counting"):
+        inner.counting.own_start_time = start
+    node.done = done
+    if inner is not node:
+        inner.done = done
 
 
 def _shard_dead_round(plan, members) -> Optional[int]:
@@ -242,19 +291,12 @@ class _ShardWorker:
         }
 
     def _common_reply(self) -> Dict[str, Any]:
-        from repro.core.records import ledger_storage_totals
-
-        ledgers = []
-        for v in self.members:
-            node = _unwrap(self.sim.nodes[v])
-            ledger = getattr(node, "ledger", None)
-            if ledger is not None:
-                ledgers.append(ledger)
+        nodes = self.sim.nodes
         return {
             "faults": self._fault_payload(),
             "cross_messages": self.kernel.cross_messages,
             "cross_bits": self.kernel.cross_bits,
-            "ledger_words": ledger_storage_totals(ledgers)["words"],
+            "ledger_words": _ledger_words(nodes[v] for v in self.members),
         }
 
     def finish_reply(self) -> Dict[str, Any]:
@@ -304,34 +346,9 @@ class _ShardWorker:
 
     def _death_payload(self) -> Dict[str, Any]:
         """State handover when the whole shard is permanently crashed."""
-        sim = self.sim
-        nodes = []
-        for v in self.members:
-            node = sim.nodes[v]
-            inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
-            ledger = getattr(inner, "ledger", None)
-            rows = []
-            if ledger is not None:
-                source_col = ledger.source_col
-                sigma_col = ledger.sigma_col
-                psi_col = ledger.psi_col
-                for row in range(len(ledger)):
-                    if psi_col[row] is not None:
-                        rows.append(
-                            (source_col[row], sigma_col[row], psi_col[row])
-                        )
-            nodes.append({
-                "node": v,
-                "rows": rows,
-                "sent": inner.sent_sources(),
-                "diameter": getattr(agg, "diameter", None),
-                "start": getattr(counting, "own_start_time", None),
-                "done": node.done,
-            })
+        nodes = self.sim.nodes
         payload = self._common_reply()
-        payload["nodes"] = nodes
+        payload["nodes"] = [_handover(v, nodes[v]) for v in self.members]
         payload["residue"] = sorted(self.kernel.wake_heap)
         return payload
 
@@ -485,7 +502,8 @@ def _child_main(
 
 
 class _Coordinator:
-    """The parent-side outer loop replicating ``Simulator._run_event``."""
+    """The parent side of a sharded run: the round source
+    :func:`~repro.congest.kernel.drive_rounds` drives, plus supervision."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -578,6 +596,9 @@ class _Coordinator:
             self._run_key = key
             if sup.checkpoints_enabled:
                 self._ckpt_run_dir = Path(sup.checkpoint_dir) / key
+        self._checkpoint_every = (
+            sup.checkpoint_every if self._ckpt_run_dir is not None else 0
+        )
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -944,35 +965,7 @@ class _Coordinator:
         """A ``_death_payload`` equivalent built from a checkpoint blob —
         the handover when a worker's restart budget is exhausted and its
         shard is abandoned at its last checkpointed state."""
-        from repro.core.records import ledger_storage_totals
-
-        nodes_out = []
-        ledgers = []
-        for v in sorted(state["nodes"]):
-            node = state["nodes"][v]
-            inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
-            ledger = getattr(inner, "ledger", None)
-            rows = []
-            if ledger is not None:
-                ledgers.append(ledger)
-                source_col = ledger.source_col
-                sigma_col = ledger.sigma_col
-                psi_col = ledger.psi_col
-                for row in range(len(ledger)):
-                    if psi_col[row] is not None:
-                        rows.append(
-                            (source_col[row], sigma_col[row], psi_col[row])
-                        )
-            nodes_out.append({
-                "node": v,
-                "rows": rows,
-                "sent": inner.sent_sources(),
-                "diameter": getattr(agg, "diameter", None),
-                "start": getattr(counting, "own_start_time", None),
-                "done": node.done,
-            })
+        nodes = state["nodes"]
         cursor = state["faults"]
         faults_payload = None
         if cursor is not None:
@@ -985,8 +978,8 @@ class _Coordinator:
             "faults": faults_payload,
             "cross_messages": state["cross_messages"],
             "cross_bits": state["cross_bits"],
-            "ledger_words": ledger_storage_totals(ledgers)["words"],
-            "nodes": nodes_out,
+            "ledger_words": _ledger_words(nodes.values()),
+            "nodes": [_handover(v, nodes[v]) for v in sorted(nodes)],
             "residue": sorted(state["wake_heap"]),
         }
 
@@ -1030,30 +1023,52 @@ class _Coordinator:
     # ------------------------------------------------------------------
     # aggregate views
     # ------------------------------------------------------------------
-    def _global_min_future(self) -> Optional[int]:
-        best: Optional[int] = None
-        for value in self.min_future:
-            if value is not None and (best is None or value < best):
-                best = value
-        for value in self.pending_min_due:
-            if value is not None and (best is None or value < best):
-                best = value
-        return best
+    @property
+    def pending(self) -> int:
+        return self.n - self.done_count
 
-    def _global_future_len(self) -> int:
-        return sum(self.future_len) + sum(self.pending_future_len)
-
-    def _alive_min_wake(self) -> Optional[int]:
-        best: Optional[int] = None
-        for shard in range(self.n_shards):
-            if self.alive[shard]:
-                value = self.min_wake[shard]
-                if value is not None and (best is None or value < best):
-                    best = value
-        return best
-
-    def _pending_nodes(self) -> Tuple[int, ...]:
+    def unfinished(self) -> Tuple[int, ...]:
         return tuple(v for v in range(self.n) if not self.done[v])
+
+    def next_future(self) -> Optional[int]:
+        dues = [
+            due for due in self.min_future + self.pending_min_due
+            if due is not None
+        ]
+        return min(dues) if dues else None
+
+    def arrivals(self, round_number: int) -> bool:
+        if self.fresh_next:
+            return True
+        future = self.next_future()
+        return future is not None and future <= round_number
+
+    def next_wake(self, round_number: int) -> Optional[int]:
+        """The earliest wake of a live shard, else of a dead shard's
+        residue.
+
+        When no live shard wakes by ``round_number`` the round is idle
+        for every worker: the dead shards' residual wakes due by then are
+        accounted here (crash-round parity with the event engine) and
+        the rest bound the fast-forward.
+        """
+        wakes = [
+            wake for wake, alive in zip(self.min_wake, self.alive)
+            if alive and wake is not None
+        ]
+        wake = min(wakes) if wakes else None
+        if wake is not None and wake <= round_number:
+            return wake
+        self._pop_residue(round_number)
+        if self.residue and (wake is None or self.residue[0][0] < wake):
+            wake = self.residue[0][0]
+        if wake is None and self.infra_dead and self.next_future() is None:
+            # Nothing will ever wake again and a shard was abandoned
+            # mid-protocol.  Without a fault plan no stall deadline
+            # exists, so degrade to the partial collection here instead
+            # of fast-forwarding into the round-limit abort.
+            self.stall(round_number)
+        return wake
 
     # ------------------------------------------------------------------
     # dead-shard residue (crash accounting parity with the event engine)
@@ -1182,6 +1197,14 @@ class _Coordinator:
     def _collect_round_reports(
         self, round_number: int
     ) -> List[Tuple[int, Dict[str, Any]]]:
+        """Every live shard's report for one round.
+
+        A shard that fails stops at its first error, as the event engine
+        does over all nodes, and its worker exits.  All reports are read
+        before anything is raised, shard 0's in-process error included:
+        the event engine steps nodes in id order, so of the round's
+        budget violations it raises the one with the lowest sender.
+        """
         frames = self.pending_frames
         reports: List[Tuple[int, Dict[str, Any]]] = []
         for shard, conn, _proc in self.children:
@@ -1191,7 +1214,10 @@ class _Coordinator:
                 self.pending_future_len[shard] = 0
                 self.pending_min_due[shard] = None
         if self.alive[0]:
-            report0 = self.worker0.process_round(round_number, frames[0])
+            try:
+                report0 = self.worker0.process_round(round_number, frames[0])
+            except Exception as exc:
+                report0 = {"error": exc}
             frames[0] = []
             self.pending_future_len[0] = 0
             self.pending_min_due[0] = None
@@ -1201,11 +1227,19 @@ class _Coordinator:
                 reports.append(
                     (shard, self._recv(shard, conn, proc, round_number))
                 )
+        errors = []
         for shard, report in reports:
             if "error" in report:
                 self.alive[shard] = False
-                self.shutdown()
-                raise report["error"]
+                errors.append(report["error"])
+        if errors:
+            violations = [
+                error for error in errors
+                if isinstance(error, CongestViolationError)
+            ]
+            if violations:
+                raise min(violations, key=attrgetter("sender"))
+            raise errors[0]
         return reports
 
     def _broadcast_collect(self, command, round_number: int = -1) -> Dict[int, Any]:
@@ -1226,21 +1260,16 @@ class _Coordinator:
     # ------------------------------------------------------------------
     # run-end reconciliation
     # ------------------------------------------------------------------
-    def _patch_clean(self, shard: int, extracts) -> None:
+    def _patch_clean(self, extracts) -> None:
         nodes = self.sim.nodes
         for node_id, bc_raw, diameter, start, done in extracts:
             node = nodes[node_id]
             inner = _unwrap(node)
             if hasattr(inner, "aggregation"):
                 inner.aggregation.betweenness_raw = bc_raw
-                inner.aggregation.diameter = diameter
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = start
-            node.done = done
-            if inner is not node:
-                inner.done = done
+            _patch_node(node, diameter, start, done)
 
-    def _patch_partial(self, shard: int, extracts) -> None:
+    def _patch_partial(self, extracts) -> None:
         nodes = self.sim.nodes
         for node_id, partial, sent, diameter, start, done in extracts:
             node = nodes[node_id]
@@ -1253,17 +1282,12 @@ class _Coordinator:
             inner.partial_betweenness_raw = (
                 lambda _complete, _v=partial: _v
             )
-            if hasattr(inner, "aggregation"):
-                inner.aggregation.diameter = diameter
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = start
-            node.done = done
-            if inner is not node:
-                inner.done = done
+            _patch_node(node, diameter, start, done)
 
-    def _patch_dead_partial(self, payload, complete_set) -> None:
+    def _dead_partial(self, payload, complete_set) -> List[tuple]:
+        """A dead shard's ``partial_reply`` extracts, from its handover."""
         arith = self.arith
-        nodes = self.sim.nodes
+        extracts = []
         for entry in payload["nodes"]:
             node_id = entry["node"]
             total = arith.psi_zero()
@@ -1272,19 +1296,11 @@ class _Coordinator:
                     total = arith.psi_add(
                         total, arith.dependency(psi, sigma)
                     )
-            node = nodes[node_id]
-            inner = _unwrap(node)
-            inner.sent_sources = (lambda _s=entry["sent"]: _s)
-            inner.partial_betweenness_raw = (
-                lambda _complete, _v=total: _v
-            )
-            if hasattr(inner, "aggregation"):
-                inner.aggregation.diameter = entry["diameter"]
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = entry["start"]
-            node.done = entry["done"]
-            if inner is not node:
-                inner.done = entry["done"]
+            extracts.append((
+                node_id, total, entry["sent"],
+                entry["diameter"], entry["start"], entry["done"],
+            ))
+        return extracts
 
     def _mark_remote(self) -> None:
         """Tag this process's copies of nodes that other shards ran.
@@ -1335,26 +1351,22 @@ class _Coordinator:
         replies = self._broadcast_collect(("finish",), round_number)
         for shard, reply in replies.items():
             self._absorb_common(shard, reply)
-            self._patch_clean(shard, reply["extracts"])
-        for shard, payload in self.dead_payloads.items():
+            self._patch_clean(reply["extracts"])
+        for payload in self.dead_payloads.values():
             # A permanently-crashed shard cannot have let the run reach
             # clean termination, but reconcile defensively.
             self._patch_clean(
-                shard,
-                [
-                    (e["node"], None, e["diameter"], e["start"], e["done"])
-                    for e in payload["nodes"]
-                ],
+                (e["node"], None, e["diameter"], e["start"], e["done"])
+                for e in payload["nodes"]
             )
         if self.alive[0]:
             self._absorb_worker0()
         self._merge_fault_stats()
         self._mark_remote()
         self._attach_shard_summary()
-        self.stats.rounds = round_number
         return self.stats
 
-    def _stall(self, round_number: int) -> None:
+    def stall(self, round_number: int) -> None:
         """Three-phase stall collection, then raise the structured error."""
         sim = self.sim
         sent_by_node: Dict[int, frozenset] = {}
@@ -1385,9 +1397,9 @@ class _Coordinator:
             ("partial", complete), round_number
         ).items():
             self._absorb_common(shard, reply)
-            self._patch_partial(shard, reply["extracts"])
+            self._patch_partial(reply["extracts"])
         for payload in self.dead_payloads.values():
-            self._patch_dead_partial(payload, complete)
+            self._patch_partial(self._dead_partial(payload, complete))
         if self.alive[0]:
             self._absorb_worker0()
         self._merge_fault_stats()
@@ -1407,138 +1419,64 @@ class _Coordinator:
         raise SimulationStalledError(
             round_number,
             self.last_progress,
-            self._pending_nodes(),
+            self.unfinished(),
             crashed,
         )
 
-    def _abort(self, round_number: int) -> None:
-        self.shutdown()
-        raise SimulationNotTerminatedError(
-            round_number,
-            self.sim.max_rounds,
-            self._pending_nodes(),
-            self.sim.graph.name,
-        )
-
     # ------------------------------------------------------------------
-    def run(self) -> SimulationStats:
-        """Drive the merge loop, recovering from worker failures.
+    def run_round(self, round_number: int) -> EdgeLoad:
+        """One barrier round; returns its merged per-edge loads.
 
-        Unsupervised this is exactly one ``_run_loop`` pass.  Supervised,
-        a :class:`WorkerFailure` escaping the loop (dead or hung worker,
-        detected anywhere a reply is awaited) triggers a rollback in
-        ``_recover`` and the loop re-enters at the restored round.
+        The checkpoint comes first (pre-round state, so a resumed run
+        re-enters the driver right here), then residue accounting, then
+        the barrier itself.
+        """
+        every = self._checkpoint_every
+        if (
+            every
+            and round_number > 0
+            and round_number % every == 0
+            and round_number > self._last_ckpt_round
+        ):
+            self._write_checkpoint(round_number)
+        self._pop_residue(round_number)
+        self.fresh_next = False
+        reports = self._collect_round_reports(round_number)
+        merged: EdgeLoad = {}
+        edge_lists = [
+            report["edges"] for _shard, report in reports if report["edges"]
+        ]
+        if edge_lists:
+            if len(edge_lists) == 1:
+                entries = edge_lists[0]
+            else:
+                entries = heapq.merge(*edge_lists, key=itemgetter(0))
+            for sender, receiver, messages, bits in entries:
+                merged[(sender, receiver)] = [messages, bits]
+        for shard, report in reports:
+            self._apply_report(shard, report)
+        for shard, report in reports:
+            self._route_outbox(shard, round_number, report)
+        for shard, report in reports:
+            if "shard_dead" in report:
+                self._mark_dead(shard, report["shard_dead"])
+        return merged
+
+    def run(self) -> SimulationStats:
+        """Drive the rounds, recovering from worker failures.
+
+        Unsupervised this is exactly one :func:`drive_rounds` pass.
+        Supervised, a :class:`WorkerFailure` escaping it (dead or hung
+        worker, detected anywhere a reply is awaited) triggers a
+        rollback in ``_recover`` and the driver re-enters at the
+        restored round.
         """
         start = self.start_round
         while True:
             try:
-                return self._run_loop(start)
+                return self._finish(drive_rounds(self, self.sim, start))
             except WorkerFailure as failure:
                 start = self._recover(failure)
-
-    def _run_loop(self, start_round: int) -> SimulationStats:
-        sim = self.sim
-        stats = self.stats
-        telemetry = sim.telemetry
-        on_tick = None
-        if telemetry is not None and getattr(telemetry, "wants_ticks", False):
-            on_tick = telemetry.on_round_tick
-        on_round_end = (
-            telemetry.on_round_end if telemetry is not None else None
-        )
-        faults = sim.faults
-        patience = None
-        if faults is not None:
-            patience = max(faults.plan.stall_patience, 2 * self.n)
-        sup = self.supervision
-        checkpoint_every = (
-            sup.checkpoint_every
-            if sup is not None and self._ckpt_run_dir is not None else 0
-        )
-        max_rounds = sim.max_rounds
-        by_sender = itemgetter(0)
-        round_number = start_round
-        while True:
-            if on_tick is not None:
-                on_tick(round_number)
-            if faults is not None and (
-                round_number - self.last_progress > patience
-            ):
-                if self._pending_nodes():
-                    self._stall(round_number)
-            if round_number > max_rounds:
-                self._abort(round_number)
-            min_future = self._global_min_future()
-            traffic = self.fresh_next or (
-                min_future is not None and min_future <= round_number
-            )
-            if not traffic and round_number > 0:
-                if self.done_count == self.n and not self._global_future_len():
-                    break
-                alive_wake = self._alive_min_wake()
-                if alive_wake is None or alive_wake > round_number:
-                    # Idle at this round for every live shard: account
-                    # residual wakes of dead shards (crash-round parity
-                    # with the in-process engine), then fast-forward.
-                    self._pop_residue(round_number)
-                    skip_to = max_rounds + 1
-                    for bound in (
-                        alive_wake,
-                        self.residue[0][0] if self.residue else None,
-                        min_future,
-                    ):
-                        if bound is not None and bound < skip_to:
-                            skip_to = bound
-                    if skip_to == max_rounds + 1 and self.infra_dead:
-                        # Nothing will ever wake again and a shard was
-                        # abandoned mid-protocol.  Without a fault plan
-                        # no stall-patience timer exists, so degrade to
-                        # the partial-collection path here instead of
-                        # fast-forwarding into the round-limit abort.
-                        self._stall(round_number)
-                    while round_number < skip_to:
-                        stats.start_round()
-                        round_number += 1
-                    continue
-            # Processed round: checkpoint at the barrier (pre-round state,
-            # so a resumed run re-enters the loop right here), then
-            # residue accounting, then the barrier itself.
-            if (
-                checkpoint_every
-                and round_number > 0
-                and round_number % checkpoint_every == 0
-                and round_number > self._last_ckpt_round
-            ):
-                self._write_checkpoint(round_number)
-            self._pop_residue(round_number)
-            self.fresh_next = False
-            reports = self._collect_round_reports(round_number)
-            stats.start_round()
-            merged: Dict[Tuple[int, int], List[int]] = {}
-            edge_lists = [
-                report["edges"] for _shard, report in reports
-                if report["edges"]
-            ]
-            if edge_lists:
-                if len(edge_lists) == 1:
-                    entries = edge_lists[0]
-                else:
-                    entries = heapq.merge(*edge_lists, key=by_sender)
-                for sender, receiver, messages, bits in entries:
-                    merged[(sender, receiver)] = [messages, bits]
-            if merged:
-                stats.observe_round(round_number, merged)
-                if on_round_end is not None:
-                    on_round_end(round_number, merged)
-            for shard, report in reports:
-                self._apply_report(shard, report)
-            for shard, report in reports:
-                self._route_outbox(shard, round_number, report)
-            for shard, report in reports:
-                if "shard_dead" in report:
-                    self._mark_dead(shard, report["shard_dead"])
-            round_number += 1
-        return self._finish(round_number)
 
 
 def run_shard(simulator) -> SimulationStats:

@@ -22,6 +22,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import distributed_betweenness, distributed_sampled_betweenness
 from repro.exceptions import (
@@ -44,6 +45,7 @@ from repro.faults import (
 )
 from repro.graphs import (
     Graph,
+    barabasi_albert_graph,
     connected_erdos_renyi_graph,
     figure1_graph,
     path_graph,
@@ -59,6 +61,8 @@ from repro.wire import (
     layout_bits,
 )
 
+
+from .conftest import connected_graphs
 
 ENGINES = ("sweep", "event")
 
@@ -526,6 +530,80 @@ class TestGracefulDegradation:
         assert err.crashed_nodes == (0,)
         assert err.pending_nodes
         assert err.round_number > err.last_progress_round
+
+
+# ----------------------------------------------------------------------
+# stalled runs stop at the same round on every engine
+# ----------------------------------------------------------------------
+#: Sweep visits every round; event and shard fast-forward idle stretches.
+STALL_ENGINES = (("sweep", 1), ("event", 1), ("shard", 2), ("shard", 3))
+
+
+def _stall_outcome(graph, plan, **kwargs):
+    """A run's stall surface: rounds, completeness and betweenness."""
+    result = distributed_betweenness(graph, faults=plan, **kwargs)
+    report = result.completeness
+    return (
+        result.rounds,
+        report.stalled_round,
+        report.complete_sources,
+        report.affected_sources,
+        report.crashed_nodes,
+        sorted(result.betweenness.items()),
+    )
+
+
+class TestStallParity:
+    @pytest.mark.parametrize("resilient", [False, True])
+    @pytest.mark.parametrize(
+        "graph, node",
+        [(path_graph(11), 5), (barabasi_albert_graph(40, 3, seed=1), 7)],
+        ids=["path-11", "ba-40"],
+    )
+    def test_permanent_crash_stalls_at_sweeps_round(
+        self, graph, node, resilient
+    ):
+        plan = FaultPlan(seed=1, crashes=(CrashWindow(node, 60, None),))
+        outcomes = {
+            (engine, workers): _stall_outcome(
+                graph, plan, engine=engine, workers=workers,
+                resilient=resilient,
+            )
+            for engine, workers in STALL_ENGINES
+        }
+        reference = outcomes[("sweep", 1)]
+        assert reference[1] is not None, "the plan must stall the run"
+        for key, outcome in outcomes.items():
+            assert outcome == reference, key
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=connected_graphs(),
+        data=st.data(),
+        resilient=st.booleans(),
+        protocol=st.sampled_from(["hua-bc", "cfp-bc"]),
+        workers=st.sampled_from([2, 3]),
+    )
+    def test_generated_crash_plans_agree_across_engines(
+        self, graph, data, resilient, protocol, workers
+    ):
+        nodes = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+        starts = st.integers(min_value=0, max_value=150)
+        windows = data.draw(
+            st.lists(st.tuples(nodes, starts), min_size=1, max_size=2)
+        )
+        plan = FaultPlan(
+            seed=data.draw(st.integers(min_value=0, max_value=99)),
+            crashes=tuple(CrashWindow(v, t, None) for v, t in windows),
+        )
+        kwargs = dict(protocol=protocol, resilient=resilient)
+        reference = _stall_outcome(graph, plan, engine="sweep", **kwargs)
+        assert _stall_outcome(graph, plan, engine="event", **kwargs) == (
+            reference
+        )
+        assert _stall_outcome(
+            graph, plan, engine="shard", workers=workers, **kwargs
+        ) == reference
 
 
 # ----------------------------------------------------------------------

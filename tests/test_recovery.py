@@ -480,6 +480,28 @@ class TestWatchdog:
         assert sup["restarts"] == 0
         assert sup["hang_detections"] >= 1
 
+    def test_abandoned_shard_stalls_once_nothing_can_wake(self):
+        # Without the resilient transport no retransmission timer keeps
+        # the survivors waking, so the run falls silent.  It stalls
+        # there, before any stall deadline (last progress + patience +
+        # 1 > patience) could fire.
+        plan = FaultPlan(
+            seed=7, worker_hangs=(WorkerHang(shard=1, round=5, repeats=99),)
+        )
+        result = distributed_betweenness(
+            cycle_graph(10),
+            engine="shard",
+            workers=3,
+            faults=plan,
+            supervision=SupervisionConfig(
+                heartbeat_timeout=0.5, max_restarts=0
+            ),
+        )
+        report = result.completeness
+        assert not report.complete
+        assert result.stats.supervisor["shards_abandoned"] == [1]
+        assert report.stalled_round <= plan.stall_patience
+
     def test_corrupt_newest_checkpoint_falls_back_to_older(self, tmp_path):
         graph = cycle_graph(12)
         reference = _fingerprint(

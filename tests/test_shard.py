@@ -189,6 +189,32 @@ class TestShardIdentity:
         assignment, _ = partition_nodes(graph, 2, "greedy")
         assert assignment[raised["shard"][1]] != 0, "raised in a child"
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_budget_violation_names_the_lowest_sender(self, workers):
+        """Two shards can break the budget in the same round.  The event
+        engine steps nodes in id order, so the coordinator must raise
+        the violation with the lowest sender, in-process shard or not."""
+        graph = connected_erdos_renyi_graph(20, 0.3, seed=3)
+        raised = {}
+        for engine in ("event", "shard"):
+            with pytest.raises(CongestViolationError) as info:
+                distributed_betweenness(
+                    graph,
+                    arithmetic="exact",
+                    engine=engine,
+                    workers=workers,
+                    congest_factor=8,
+                )
+            error = info.value
+            raised[engine] = (
+                error.round_number,
+                error.sender,
+                error.receiver,
+                error.bits_used,
+                error.bits_allowed,
+            )
+        assert raised["shard"] == raised["event"]
+
     def test_shard_summary_accounts_for_the_cut(self):
         graph = cycle_graph(10)
         result = distributed_betweenness(graph, engine="shard", workers=2)
