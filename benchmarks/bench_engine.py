@@ -25,8 +25,9 @@ report the actual ratios.
 A scaling microbenchmark additionally gates the bulk engine's stats
 reduction (:func:`repro.engines.bulk.edge_round_groups` +
 :func:`repro.engines.bulk.populate_stats`): quadrupling N at fixed
-broadcast and unicast volumes must not materially change its runtime —
-the reduction is O(table rows), never O(N × rounds).
+broadcast, multicast and unicast volumes must not materially change its
+runtime — the reduction is O(table rows), never O(N × rounds).  A memory
+gate holds one BA N = 400 bulk job's traced peak under a fixed ceiling.
 """
 
 import json
@@ -244,20 +245,28 @@ def test_engine_speedup_and_identity(benchmark):
 # bulk stats-reduction scaling: O(active edges), never O(N x rounds)
 # ----------------------------------------------------------------------
 STATS_BROADCASTS = 50_000
+STATS_MULTICASTS = 50_000
 STATS_UNICASTS = 100_000
 STATS_DEGREE = 4
 
 
-def measure_stats_scaling(broadcasts=STATS_BROADCASTS, unicasts=STATS_UNICASTS):
+def measure_stats_scaling(
+    broadcasts=STATS_BROADCASTS,
+    multicasts=STATS_MULTICASTS,
+    unicasts=STATS_UNICASTS,
+):
     """Time the bulk stats reduction at fixed table sizes while N grows 4x.
 
     A per-round accumulator that touched every node (the sweep's shape)
-    would slow down ~4x; the bulk reduction groups the two send tables
-    directly — broadcasts per (round, sender), unicasts per directed
-    edge — so its runtime must track the table sizes alone (plus an
-    O(rounds) tail for the round series, held constant here).  Every
-    node has degree 4, so the broadcasts stand for 4x their row count
-    in sends at both sizes.
+    would slow down ~4x; the bulk reduction groups the three send tables
+    directly — broadcasts and multicasts per (round, sender), unicasts
+    per directed edge — so its runtime must track the table sizes alone
+    (plus an O(rounds) tail for the round series, held constant here).
+    Every node has degree 4, so the broadcasts stand for 4x their row
+    count in sends at both sizes.  Each multicast covers its own pair's
+    first 1-4 neighbors and falls in a later round on a (round, sender)
+    key of its own, as the AggValue sends do, so the reduction takes its
+    path without per-link rows.
     """
     np = pytest.importorskip("numpy")
     from repro.congest.stats import SimulationStats
@@ -278,6 +287,21 @@ def measure_stats_scaling(broadcasts=STATS_BROADCASTS, unicasts=STATS_UNICASTS):
             np.full(broadcasts, 4, dtype=np.int64),
             rng.integers(8, 64, size=broadcasts),
         )
+        # Multicast j is pair j, on distinct (round, sender) keys in
+        # rounds [rounds, 2 * rounds).
+        key = rng.choice(rounds * n_nodes, size=multicasts, replace=False)
+        m_snd = key % n_nodes
+        fan = rng.integers(1, STATS_DEGREE + 1, size=multicasts)
+        pred_indptr = np.zeros(multicasts + 1, dtype=np.int64)
+        np.cumsum(fan, out=pred_indptr[1:])
+        seq = np.arange(pred_indptr[-1]) - np.repeat(pred_indptr[:-1], fan)
+        pred_rows = indices[np.repeat(m_snd * STATS_DEGREE, fan) + seq]
+        mcast = (
+            rounds + key // n_nodes,
+            m_snd,
+            np.arange(multicasts, dtype=np.int64),
+            rng.integers(8, 64, size=multicasts),
+        )
         snd = rng.integers(0, n_nodes, size=unicasts)
         ucast = (
             np.sort(rng.integers(0, rounds, size=unicasts)),
@@ -290,17 +314,20 @@ def measure_stats_scaling(broadcasts=STATS_BROADCASTS, unicasts=STATS_UNICASTS):
         for _ in range(3):
             stats = SimulationStats()
             start = time.perf_counter()
-            populate_stats(
-                stats, rounds, edge_round_groups(indptr, indices, bcast, ucast)
-            )
+            populate_stats(stats, 2 * rounds, edge_round_groups(
+                indptr, indices, pred_indptr, pred_rows, bcast, mcast, ucast,
+            ))
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-            assert stats.message_count == STATS_DEGREE * broadcasts + unicasts
+            assert stats.message_count == (
+                STATS_DEGREE * broadcasts + int(fan.sum()) + unicasts
+            )
         timings[n_nodes] = best
     return {
         "broadcasts": broadcasts,
+        "multicasts": multicasts,
         "unicasts": unicasts,
-        "rounds": rounds,
+        "rounds": 2 * rounds,
         "seconds_n_2000": round(timings[2_000], 4),
         "seconds_n_8000": round(timings[8_000], 4),
         "n_scaling_ratio": round(timings[8_000] / timings[2_000], 3),
@@ -317,6 +344,54 @@ def test_bulk_stats_reduction_is_active_edge_bound(benchmark):
     # 4x the nodes at a fixed send volume: an O(N)-per-round accumulator
     # would show ~4x; allow generous noise headroom around flat.
     assert stats["n_scaling_ratio"] < 2.0
+
+
+# ----------------------------------------------------------------------
+# bulk job memory: one BA N = 400 job's traced peak
+# ----------------------------------------------------------------------
+#: Ceiling on one job's tracemalloc peak, in MB (41 MB measured).  Laying
+#: the AggValue sends out as one row per predecessor link (306,344 rows
+#: here) instead of one per (source, node) pair takes it to 70 MB.
+BULK_JOB_PEAK_MB = 48
+
+
+def measure_bulk_job_peak():
+    """Traced peak of one BA N = 400 (m = 3, seed 1) bulk job, in MB.
+
+    numpy reports its buffers to :mod:`tracemalloc`, so the peak covers
+    the plan, send-table and edge-round-group arrays.  A warm-up job
+    first imports every module the run needs.
+    """
+    pytest.importorskip("numpy")
+    import tracemalloc
+
+    from repro.graphs import barabasi_albert_graph
+
+    graph = barabasi_albert_graph(400, 3, seed=1)
+    distributed_betweenness(graph, arithmetic="lfloat", engine="bulk")
+    tracemalloc.start()
+    try:
+        result = distributed_betweenness(
+            graph, arithmetic="lfloat", engine="bulk"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "messages": result.stats.message_count,
+        "traced_peak_mb": round(peak / 1e6, 2),
+    }
+
+
+def test_bulk_job_traced_peak_memory(benchmark):
+    stats = once(benchmark, measure_bulk_job_peak)
+    print_table(
+        ["metric", "value"],
+        [[key, value] for key, value in stats.items()],
+        title="E15d bulk job traced peak (BA N=400, m=3, seed 1)",
+    )
+    assert stats["messages"] == 1_264_319
+    assert stats["traced_peak_mb"] <= BULK_JOB_PEAK_MB
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.congest.kernel import RoundKernel, drive_rounds
 from repro.congest.node import NodeAlgorithm, NodeFactory
 from repro.congest.stats import CutTracker, SimulationStats
+from repro.exceptions import SimulatorConfigError
 from repro.wire import WireFormat
 from repro.graphs.graph import Graph
 
@@ -194,17 +195,17 @@ class Simulator:
         supervision=None,
     ):
         if engine not in ENGINES:
-            raise ValueError(
+            raise SimulatorConfigError(
                 "unknown engine {!r} (expected one of {})".format(
                     engine, ENGINES
                 )
             )
         if not isinstance(workers, int) or workers < 1:
-            raise ValueError(
+            raise SimulatorConfigError(
                 "workers must be a positive int, got {!r}".format(workers)
             )
         if not isinstance(congest_factor, int) or congest_factor < 1:
-            raise ValueError(
+            raise SimulatorConfigError(
                 "congest_factor must be a positive int, got {!r}".format(
                     congest_factor
                 )
@@ -216,7 +217,7 @@ class Simulator:
         from repro.shard.partition import PARTITIONERS
 
         if partitioner not in PARTITIONERS:
-            raise ValueError(
+            raise SimulatorConfigError(
                 "unknown partitioner {!r} (expected one of {})".format(
                     partitioner, PARTITIONERS
                 )

@@ -15,11 +15,14 @@ never steps node objects.  It
    with :mod:`repro.engines.lfmath` carrying the L-float mantissa and
    exponent in int64 arrays, bit-identical to the scalar arithmetic the
    other engines run,
-3. lays every send out in two tables — one row per broadcast (a
-   TreeWave, or a settled (source, node) pair's BfsWave, standing for
-   one send to each neighbor) and one row per addressed unicast — and
-   reduces them into :class:`SimulationStats` per edge-round group
-   with array ops, sorting only the unicasts, and
+3. lays every send out in three tables — broadcasts (one row per
+   TreeWave, or per settled (source, node) pair's BfsWave, standing for
+   one send to each neighbor), multicasts (one row per (source, node)
+   pair's AggValue, standing for one send to each BFS predecessor) and
+   unicasts (one row per addressed control send) — and reduces them
+   into :class:`SimulationStats` per edge-round group with array ops,
+   sorting the fan-out rows per (round, sender) and only the unicasts
+   per edge, and
 4. back-fills the node objects (tree / counting / aggregation state and
    lazily-materialized ledgers) so every public observable — results,
    stats, per-node state — is indistinguishable from a ``sweep`` run.
@@ -218,7 +221,7 @@ class _Plan:
         "dfs_complete",
         "src", "s_idx_of", "T",
         "dist_flat", "sig_m", "sig_e", "psi_m", "psi_e", "val_m", "val_e",
-        "pred_indptr", "pred_rows", "pair_rows",
+        "pred_indptr", "pred_rows",
         "subtree_ecc", "done_send", "r_result",
         "diameter", "t_max", "base", "horizon",
         "rounds", "done_round",
@@ -465,33 +468,42 @@ def _widths(wire, n_nodes: int, L: int) -> Dict[str, int]:
 
 
 class _Sends:
-    """Every send of the run, as two tables.
+    """Every send of the run, as three tables.
 
     ``broadcasts`` = (round, sender, slot, bits) holds one row per
     :class:`TreeWave` (row ``v`` is node v's) and one per settled
     (source, node) pair (row ``N + p`` is pair p's :class:`BfsWave`);
     each row stands for one send to every neighbor of its sender, in
-    ascending neighbor order.  ``unicasts`` = (round, sender, target,
-    bits, drain rank) holds one row per addressed send: the control
-    rows (tree, census, token and report traffic, whose (kind, aux)
-    message handles are kept in ``py_kind`` / ``py_aux``) and then one
-    :class:`AggValue` row per predecessor link, in ``plan.pair_rows``
-    order.
+    ascending neighbor order.  ``multicasts`` = (round, sender, pair,
+    bits) holds one :class:`AggValue` row per (source, node) pair that
+    has predecessors, in ascending pair order; each row stands for one
+    send to every BFS(s) predecessor of its pair (the plan's
+    ``pred_indptr`` / ``pred_rows`` CSR), in ascending order.
+    ``unicasts`` = (round, sender, target, bits, drain rank) holds one
+    row per addressed control send (tree, census, token and report
+    traffic), whose (kind, aux) message handles are kept in
+    ``py_kind`` / ``py_aux``.
     """
 
-    __slots__ = ("broadcasts", "unicasts", "py_kind", "py_aux")
+    __slots__ = ("broadcasts", "multicasts", "unicasts", "py_kind", "py_aux")
 
-    def total(self, deg) -> int:
+    def total(self, deg, pred_indptr) -> int:
         """The number of billed sends the tables stand for."""
-        return int(deg[self.broadcasts[1]].sum()) + self.unicasts[0].size
+        pair = self.multicasts[2]
+        return (
+            int(deg[self.broadcasts[1]].sum())
+            + int((pred_indptr[pair + 1] - pred_indptr[pair]).sum())
+            + self.unicasts[0].size
+        )
 
 
 def _send_tables(plan: _Plan, wire, settle, value_round) -> _Sends:
-    """Build both send tables straight from the plan.
+    """Build the three send tables straight from the plan.
 
     The control traffic is O(N) and assembled in Python; the BfsWave
     rows (S * N, at the ``settle`` rounds) and the AggValue rows (one
-    per predecessor link, at the ``value_round`` rounds) are array ops.
+    per pair with predecessors, at the ``value_round`` rounds) are
+    array ops.
     """
     N = plan.N
     width = _widths(wire, N, plan.L)
@@ -529,33 +541,30 @@ def _send_tables(plan: _Plan, wire, settle, value_round) -> _Sends:
         rows.append((t, snd, tgt, width["token"], slot, 0, _K_TOKEN,
                      returning))
     py = np.array(rows, dtype=np.int64)
-    u_parts = [
+    sends = _Sends()
+    sends.unicasts = (
         py[:, 0], py[:, 1], py[:, 2], py[:, 3],
         _drain_rank(N, py[:, 0], py[:, 1], py[:, 4], py[:, 5]),
-    ]
+    )
+    sends.py_kind = py[:, 6]
+    sends.py_aux = py[:, 7]
 
-    # AggValue sends: pair (s, v) to each predecessor, in
-    # sorted-predecessor order.
-    if plan.aggregate and plan.pred_rows.size:
-        pair_rows = plan.pair_rows
-        counts = np.diff(plan.pred_indptr)
-        seq = np.arange(pair_rows.size, dtype=np.int64) - np.repeat(
-            plan.pred_indptr[:-1], counts
-        )
-        av_r = value_round[pair_rows]
-        av_snd = pair_rows % N
-        av = (
-            av_r, av_snd, plan.pred_rows,
-            np.full(av_r.size, width["agg_value"], dtype=np.int64),
-            _drain_rank(N, av_r, av_snd, _SLOT_AGGVALUE, seq),
-        )
-        u_parts = [np.concatenate(pair) for pair in zip(u_parts, av)]
+    # AggValue sends: every pair (s, v) with predecessors, at its one
+    # scheduled round.
+    pairs = np.empty(0, dtype=np.int64)
+    m_round = pairs
+    if plan.aggregate:
+        pairs = np.flatnonzero(np.diff(plan.pred_indptr))
+        m_round = value_round[pairs]
+    sends.multicasts = (
+        m_round, pairs % N, pairs,
+        np.full(pairs.size, width["agg_value"], dtype=np.int64),
+    )
 
     # Broadcasts: every node's TreeWave at its settle round, then every
     # settled pair's BfsWave (own launches use the later slot).
     S = len(plan.src)
     nodes = np.arange(N, dtype=np.int64)
-    sends = _Sends()
     sends.broadcasts = (
         np.concatenate((np.asarray(depth, dtype=np.int64), settle)),
         np.tile(nodes, S + 1),
@@ -568,15 +577,28 @@ def _send_tables(plan: _Plan, wire, settle, value_round) -> _Sends:
             np.full(S * N, width["bfs_wave"], dtype=np.int64),
         )),
     )
-    sends.unicasts = tuple(u_parts)
-    sends.py_kind = py[:, 6]
-    sends.py_aux = py[:, 7]
     return sends
 
 
 def _drain_rank(n_nodes, r, snd, slot, seq):
     """Global drain-order key of a send: the tuple (round, sender, slot, seq)."""
     return ((r * n_nodes + snd) * _SLOT_STRIDE + slot) * n_nodes + seq
+
+
+def _fan_out(indptr, targets, heads):
+    """Expand fan-out rows into one row per send.
+
+    Row j stands for one send to each of ``targets[indptr[h] :
+    indptr[h + 1]]``, in order, where ``h = heads[j]`` (a broadcast's
+    sender in the adjacency CSR, a multicast's pair in the predecessor
+    CSR).  Returns ``(row, seq, target)`` per send, rows ascending.
+    """
+    counts = indptr[heads + 1] - indptr[heads]
+    row = np.repeat(np.arange(heads.size, dtype=np.int64), counts)
+    seq = np.arange(row.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return row, seq, targets[indptr[heads][row] + seq]
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +621,35 @@ def _runs(sorted_keys):
     return first, np.diff(np.append(first, sorted_keys.size))
 
 
+#: Row kinds of an edge-round group's frame (:meth:`_Groups.frame`).
+_BROADCAST, _MULTICAST, _UNICAST = 0, 1, 2
+
+
 class _Groups:
     """The run's traffic per edge-round group, built without per-send rows.
 
     An *edge-round group* is everything directed edge v -> u carries in
-    round r: the broadcasts at (r, v) plus the unicasts at (r, v, u).
-    Broadcast groups (``bg_*``, keyed ``r * N + v``) and unicast groups
-    (``ug_*``, keyed ``(r * N + v) * N + u``) are reduced separately;
-    ``ug_shared`` links a unicast group to the broadcast group on its
-    (round, sender), or holds -1.  ``max_bits`` / ``max_messages`` /
+    round r: the broadcasts at (r, v), the multicasts at (r, v) whose
+    pair has predecessor u, and the unicasts at (r, v, u).  Broadcast
+    groups (``bg_*``, keyed ``r * N + v``) and unicast groups (``ug_*``,
+    keyed ``(r * N + v) * N + u``) are reduced separately; ``ug_shared``
+    links a unicast group to the broadcast group on its (round, sender),
+    or holds -1.  ``multicasts`` share their (round, sender) with no
+    other row, so every link they cover is a one-send group of its own;
+    ``mg_key`` holds their ``r * N + v`` keys ascending and ``m_order``
+    their rows in that order.  When some multicast did share, the
+    multicasts were expanded into per-link unicasts instead:
+    ``multicasts`` is then empty, ``unicasts`` holds the expanded links
+    after its first ``n_unicast`` rows, and ``m_link_end`` the running
+    link count of each multicast row.  ``max_bits`` / ``max_messages`` /
     ``worst`` are the run's per-edge maxima and the worst edge.
     """
 
     __slots__ = (
-        "n", "indptr", "indices", "deg", "broadcasts", "unicasts",
+        "n", "indptr", "indices", "deg", "pred_indptr", "pred_rows",
+        "broadcasts", "multicasts", "unicasts",
         "b_order", "b_first", "bg_key", "bg_bits", "bg_count", "bg_slot",
+        "m_order", "mg_key", "n_unicast", "m_link_end",
         "u_order", "u_first", "ug_key", "ug_bits", "ug_count", "ug_shared",
         "max_bits", "max_messages", "worst",
     )
@@ -621,10 +657,12 @@ class _Groups:
     def frame(self, r: int, v: int, u: int):
         """Group (r, v -> u): its rows in drain order and its billed bits.
 
-        Rows are ``(rank, is_unicast, table row)`` tuples.
+        Rows are ``(rank, kind, table row)`` tuples.  A multicast row
+        indexes the multicast table the groups were built from, also
+        when its links were expanded into unicasts.
         """
         n = self.n
-        rows: List[Tuple[int, bool, int]] = []
+        rows: List[Tuple[int, int, int]] = []
         charged = 0
         key = r * n + v
         g = int(np.searchsorted(self.bg_key, key))
@@ -636,8 +674,18 @@ class _Groups:
                 self.b_first[g]: self.b_first[g] + self.bg_count[g]
             ].tolist():
                 rank = _drain_rank(n, r, v, int(slot[row]), seq)
-                rows.append((rank, False, row))
+                rows.append((rank, _BROADCAST, row))
             charged += int(self.bg_bits[g])
+        g = int(np.searchsorted(self.mg_key, key))
+        if g < self.mg_key.size and self.mg_key[g] == key:
+            row = int(self.m_order[g])
+            pair = int(self.multicasts[2][row])
+            lo, hi = self.pred_indptr[pair], self.pred_indptr[pair + 1]
+            seq = int(np.searchsorted(self.pred_rows[lo:hi], u))
+            if seq < hi - lo and self.pred_rows[lo + seq] == u:
+                rank = _drain_rank(n, r, v, _SLOT_AGGVALUE, seq)
+                rows.append((rank, _MULTICAST, row))
+                charged += int(self.multicasts[3][row])
         key = key * n + u
         h = int(np.searchsorted(self.ug_key, key))
         if h < self.ug_key.size and self.ug_key[h] == key:
@@ -645,40 +693,81 @@ class _Groups:
             for row in self.u_order[
                 self.u_first[h]: self.u_first[h] + self.ug_count[h]
             ].tolist():
-                rows.append((int(rank[row]), True, row))
+                link = row - self.n_unicast
+                if link < 0:
+                    rows.append((int(rank[row]), _UNICAST, row))
+                else:
+                    origin = np.searchsorted(self.m_link_end, link, "right")
+                    rows.append((int(rank[row]), _MULTICAST, int(origin)))
             charged += int(self.ug_bits[h])
         rows.sort()
         return rows, charged
 
 
-def edge_round_groups(indptr, indices, broadcasts, unicasts) -> _Groups:
-    """Reduce the two send tables into edge-round groups.
+def _collide(keys, *others) -> bool:
+    """Whether sorted ``keys`` repeat a value or meet one of sorted ``others``."""
+    if keys.size == 0:
+        return False
+    if (keys[1:] == keys[:-1]).any():
+        return True
+    for other in others:
+        # Only the part of ``other`` inside keys' range can meet one: on
+        # a protocol run, the aggregation rounds follow all the waves.
+        other = other[
+            np.searchsorted(other, keys[0]):
+            np.searchsorted(other, keys[-1], "right")
+        ]
+        at = np.searchsorted(keys, other)
+        if (keys[at] == other).any():
+            return True
+    return False
+
+
+def edge_round_groups(
+    indptr, indices, pred_indptr, pred_rows, broadcasts, multicasts, unicasts
+) -> _Groups:
+    """Reduce the three send tables into edge-round groups.
 
     ``broadcasts`` = (round, sender, slot, bits) rows each stand for one
     send to every neighbor of the sender (CSR ``indptr`` / ``indices``,
-    neighbors ascending); ``unicasts`` = (round, sender, target, bits,
-    drain rank).  Only the unicasts are sorted per edge: the cost is
-    O(unicasts * log unicasts + broadcasts * log broadcasts), whatever
-    the degrees.
+    neighbors ascending).  ``multicasts`` = (round, sender, pair, bits)
+    rows each stand for one send, in the AggValue drain slot, to every
+    predecessor of the pair (CSR ``pred_indptr`` / ``pred_rows``,
+    ascending, at least one per row's pair).  ``unicasts`` = (round, sender, target, bits,
+    drain rank).  Broadcasts and multicasts are sorted per (round,
+    sender), never per edge, and only the unicasts per edge: the cost is
+    O(B log B + M log M + U log U) in the three row counts, whatever the
+    degrees.
+
+    When no other row shares a multicast's (round, sender) — Lemma 4
+    allows one AggValue send per node per round, and other traffic
+    seldom falls on that node in that round — each link the multicast
+    covers is a one-send group and needs no row of its own.  Otherwise
+    (a DFS-token hop in the same round, or two multicasts on one key)
+    every multicast is expanded into per-link unicasts first.
 
     The maxima reproduce ``observe_round`` exactly.  Bits are positive,
     so a broadcast group at the maximum shares its (round, sender) with
     no unicast — all its edges tie, and the scan meets v's first
-    neighbor first.  Otherwise a group's first-send rank is the smaller
-    of its first unicast's rank and its broadcasts' rank on that edge,
-    and ``worst`` is the group at the maximum with the least of them.
+    neighbor first.  A multicast at the maximum is met first on its
+    pair's first predecessor, and among those the least (round, sender)
+    key has the least rank.  Otherwise a group's first-send rank is the
+    smaller of its first unicast's rank and its broadcasts' rank on that
+    edge, and ``worst`` is the group at the maximum with the least of
+    them.
     """
     n = indptr.size - 1
     deg = np.diff(indptr)
     b_r, b_v, b_slot, b_bits = broadcasts
-    u_r, u_v, u_t, u_bits, u_rank = unicasts
+    m_r, m_v, m_pair, m_bits = multicasts
     gr = _Groups()
     gr.n = n
     gr.indptr = indptr
     gr.indices = indices
     gr.deg = deg
+    gr.pred_indptr = pred_indptr
+    gr.pred_rows = pred_rows
     gr.broadcasts = broadcasts
-    gr.unicasts = unicasts
 
     key = b_r * n + b_v
     gr.b_order = np.argsort(key)
@@ -687,6 +776,27 @@ def edge_round_groups(indptr, indices, broadcasts, unicasts) -> _Groups:
     gr.bg_key = key[gr.b_first]
     gr.bg_bits = np.add.reduceat(b_bits[gr.b_order], gr.b_first)
     gr.bg_slot = np.minimum.reduceat(b_slot[gr.b_order], gr.b_first)
+
+    key = m_r * n + m_v
+    gr.m_order = np.argsort(key)
+    gr.mg_key = key[gr.m_order]
+    gr.n_unicast = unicasts[0].size
+    gr.m_link_end = None
+    if _collide(gr.mg_key, gr.bg_key, np.sort(unicasts[0] * n + unicasts[1])):
+        row, seq, target = _fan_out(pred_indptr, pred_rows, m_pair)
+        r, v = m_r[row], m_v[row]
+        links = (
+            r, v, target, m_bits[row],
+            _drain_rank(n, r, v, _SLOT_AGGVALUE, seq),
+        )
+        unicasts = tuple(np.concatenate(pair) for pair in zip(unicasts, links))
+        gr.m_link_end = np.cumsum(pred_indptr[m_pair + 1] - pred_indptr[m_pair])
+        multicasts = tuple(column[:0] for column in multicasts)
+        gr.m_order = gr.mg_key = m_pair[:0]
+    gr.multicasts = multicasts
+    gr.unicasts = unicasts
+    _m_r, _m_v, m_pair, m_bits = multicasts
+    u_r, u_v, u_t, u_bits, u_rank = unicasts
 
     key = (u_r * n + u_v) * n + u_t
     gr.u_order = np.argsort(key)
@@ -697,15 +807,10 @@ def edge_round_groups(indptr, indices, broadcasts, unicasts) -> _Groups:
     ug_rank = np.minimum.reduceat(u_rank[gr.u_order], gr.u_first)
 
     # Join each unicast group to the broadcast group on its (r, v): the
-    # edge-round group's totals and first-send rank.  Both key arrays
-    # are sorted, so only the unicast groups up to the last broadcast's
-    # (r, v) can meet one — the aggregation traffic never does.
+    # edge-round group's totals and first-send rank.
     rv = gr.ug_key // n
-    reach = np.searchsorted(rv, gr.bg_key[-1], side="right")
-    at = np.minimum(
-        np.searchsorted(gr.bg_key, rv[:reach]), gr.bg_key.size - 1
-    )
-    shared = np.flatnonzero(gr.bg_key[at] == rv[:reach])
+    at = np.minimum(np.searchsorted(gr.bg_key, rv), gr.bg_key.size - 1)
+    shared = np.flatnonzero(gr.bg_key[at] == rv)
     at = at[shared]
     gr.ug_shared = np.full(rv.size, -1, dtype=np.int64)
     gr.ug_shared[shared] = at
@@ -722,50 +827,76 @@ def edge_round_groups(indptr, indices, broadcasts, unicasts) -> _Groups:
         ),
     )
 
-    gr.max_bits = max(int(bits.max()), int(gr.bg_bits.max()))
+    gr.max_bits = max(
+        int(bits.max()), int(gr.bg_bits.max()), int(m_bits.max(initial=0))
+    )
+    # A multicast link carries one send, and a broadcast group at least
+    # one on every edge.
     gr.max_messages = max(int(count.max()), int(gr.bg_count.max()))
-    best = None
+    candidates = []
     at_max = np.flatnonzero(bits == gr.max_bits)
     if at_max.size:
         h = at_max[np.argmin(ug_rank[at_max])]
         key = int(gr.ug_key[h])
-        best = (int(ug_rank[h]), (key // (n * n), (key // n) % n, key % n))
+        candidates.append(
+            (int(ug_rank[h]), (key // (n * n), (key // n) % n, key % n))
+        )
+    # bg_key and mg_key are sorted, so each table's first candidate has
+    # its least rank.
     at_max = np.flatnonzero(gr.bg_bits == gr.max_bits)
     if at_max.size:
-        # bg_key is sorted, so the first candidate has the least rank.
-        g = at_max[0]
-        key = int(gr.bg_key[g])
+        key = int(gr.bg_key[at_max[0]])
         v = key % n
-        rank = _drain_rank(n, key // n, v, int(gr.bg_slot[g]), 0)
-        if best is None or rank < best[0]:
-            best = (rank, (key // n, v, int(indices[indptr[v]])))
-    gr.worst = best[1]
+        rank = _drain_rank(n, key // n, v, int(gr.bg_slot[at_max[0]]), 0)
+        candidates.append((rank, (key // n, v, int(indices[indptr[v]]))))
+    at_max = np.flatnonzero(m_bits[gr.m_order] == gr.max_bits)
+    if at_max.size:
+        key = int(gr.mg_key[at_max[0]])
+        v = key % n
+        pair = m_pair[gr.m_order[at_max[0]]]
+        rank = _drain_rank(n, key // n, v, _SLOT_AGGVALUE, 0)
+        candidates.append(
+            (rank, (key // n, v, int(pred_rows[pred_indptr[pair]])))
+        )
+    gr.worst = min(candidates)[1]
     return gr
 
 
 def populate_stats(stats, rounds: int, groups: _Groups) -> None:
     """Fold edge-round groups into ``stats``, as ``observe_round`` would.
 
-    Totals and the per-round series are ``bincount``s over the two
-    tables, broadcasts weighted by their sender's degree, so the cost
-    tracks the table sizes, never N * rounds.  The cut tracker (if
-    armed) counts crossing *groups* as messages and sums their bits,
-    with per-round totals keyed in ascending round order, exactly as
-    the scan inserts them.
+    Totals and the per-round series are ``bincount``s over the three
+    tables, broadcasts weighted by their sender's degree and multicasts
+    by their pair's predecessor count, so the cost tracks the table
+    sizes, never N * rounds.  The cut tracker (if armed) counts
+    crossing *groups* as messages and sums their bits, with per-round
+    totals keyed in ascending round order, exactly as the scan inserts
+    them.
     """
     n = groups.n
     deg = groups.deg
+    pred_indptr = groups.pred_indptr
     b_r, b_v, _b_slot, b_bits = groups.broadcasts
+    m_r, m_v, m_pair, m_bits = groups.multicasts
     u_r, u_v, u_t, u_bits, _u_rank = groups.unicasts
     fan = deg[b_v]
-    stats.message_count += int(fan.sum()) + int(u_r.size)
-    stats.bit_count += int((b_bits * fan).sum()) + int(u_bits.sum())
-    msgs_pr = np.bincount(b_r, weights=fan, minlength=rounds) + np.bincount(
-        u_r, minlength=rounds
+    m_fan = pred_indptr[m_pair + 1] - pred_indptr[m_pair]
+    stats.message_count += int(fan.sum()) + int(m_fan.sum()) + int(u_r.size)
+    stats.bit_count += (
+        int((b_bits * fan).sum())
+        + int((m_bits * m_fan).sum())
+        + int(u_bits.sum())
     )
-    bits_pr = np.bincount(
-        b_r, weights=b_bits * fan, minlength=rounds
-    ) + np.bincount(u_r, weights=u_bits, minlength=rounds)
+    msgs_pr = (
+        np.bincount(b_r, weights=fan, minlength=rounds)
+        + np.bincount(m_r, weights=m_fan, minlength=rounds)
+        + np.bincount(u_r, minlength=rounds)
+    )
+    bits_pr = (
+        np.bincount(b_r, weights=b_bits * fan, minlength=rounds)
+        + np.bincount(m_r, weights=m_bits * m_fan, minlength=rounds)
+        + np.bincount(u_r, weights=u_bits, minlength=rounds)
+    )
     stats.round_series.extend(
         zip(msgs_pr.astype(np.int64).tolist(), bits_pr.astype(np.int64).tolist())
     )
@@ -781,19 +912,30 @@ def populate_stats(stats, rounds: int, groups: _Groups) -> None:
             owner[left[owner] != left[groups.indices]], minlength=n
         )
         # A broadcast puts one crossing group on each crossing edge of
-        # its sender; a crossing unicast group is a group of its own
-        # unless it shares a broadcast's (round, sender).
+        # its sender, and a multicast one on each crossing link; a
+        # crossing unicast group is a group of its own unless it shares
+        # a broadcast's (round, sender).
         b_cross = b_bits * cross_deg[b_v]
+        in_left = np.concatenate(([0], np.cumsum(left[groups.pred_rows])))
+        m_links = in_left[pred_indptr[m_pair + 1]] - in_left[pred_indptr[m_pair]]
+        m_links = np.where(left[m_v], m_fan - m_links, m_links)
+        m_cross = m_bits * m_links
         u_cross = left[u_v] != left[u_t]
         ug_key = groups.ug_key
         ug_cross = left[(ug_key // n) % n] != left[ug_key % n]
-        cut.messages += int(cross_deg[groups.bg_key % n].sum()) + int(
-            (ug_cross & (groups.ug_shared < 0)).sum()
+        cut.messages += (
+            int(cross_deg[groups.bg_key % n].sum())
+            + int(m_links.sum())
+            + int((ug_cross & (groups.ug_shared < 0)).sum())
         )
-        cut.bits += int(b_cross.sum()) + int(u_bits[u_cross].sum())
-        per_round = np.bincount(
-            b_r, weights=b_cross, minlength=rounds
-        ) + np.bincount(u_r[u_cross], weights=u_bits[u_cross], minlength=rounds)
+        cut.bits += (
+            int(b_cross.sum()) + int(m_cross.sum()) + int(u_bits[u_cross].sum())
+        )
+        per_round = (
+            np.bincount(b_r, weights=b_cross, minlength=rounds)
+            + np.bincount(m_r, weights=m_cross, minlength=rounds)
+            + np.bincount(u_r[u_cross], weights=u_bits[u_cross], minlength=rounds)
+        )
         for rr in np.flatnonzero(per_round).tolist():
             cut.bits_per_round[rr] = (
                 cut.bits_per_round.get(rr, 0) + int(per_round[rr])
@@ -834,20 +976,18 @@ class _Materializer:
             self._waves[p] = cached
         return cached
 
+    def multicast(self, row: int):
+        cached = self._values.get(row)
+        if cached is None:
+            plan = self.plan
+            p = int(self.sends.multicasts[2][row])
+            value = _lf(plan.val_m[p], plan.val_e[p], plan.L, Rounding.FLOOR)
+            cached = AggValue(int(plan.src[p // plan.N]), value)
+            self._values[row] = cached
+        return cached
+
     def unicast(self, row: int):
         sends = self.sends
-        n_py = sends.py_kind.size
-        if row >= n_py:
-            plan = self.plan
-            p = int(plan.pair_rows[row - n_py])
-            cached = self._values.get(p)
-            if cached is None:
-                value = _lf(
-                    plan.val_m[p], plan.val_e[p], plan.L, Rounding.FLOOR
-                )
-                cached = AggValue(int(plan.src[p // plan.N]), value)
-                self._values[p] = cached
-            return cached
         kind = int(sends.py_kind[row])
         aux = int(sends.py_aux[row])
         if kind == _K_TREE_JOIN:
@@ -874,28 +1014,33 @@ def _sampling_audit(sim, plan: _Plan, sends: _Sends, groups: _Groups) -> None:
     """Spot-check billed totals against the exact codec.
 
     A deterministic sample of edge-round groups — an even stride over
-    the broadcast groups (each on its sender's first edge) and over the
+    the broadcast groups (each on its sender's first edge), over the
+    multicast groups (each on its pair's first predecessor) and over the
     unicast groups, plus the worst edge — is re-encoded through
     :func:`encode_frame` in drain order; any disagreement with the
     billed bits raises the same :class:`WireCodecError` as the round
     kernel's frame audit.
     """
     n = groups.n
-    half = _AUDIT_SAMPLES // 2
+    quarter = _AUDIT_SAMPLES // 4
     edges = {groups.worst}
-    for key in groups.bg_key[_spread(groups.bg_key.size, half)].tolist():
+    for key in groups.bg_key[_spread(groups.bg_key.size, 2 * quarter)].tolist():
         v = key % n
         edges.add((key // n, v, int(groups.indices[groups.indptr[v]])))
-    for key in groups.ug_key[_spread(groups.ug_key.size, half)].tolist():
+    pick = _spread(groups.mg_key.size, quarter)
+    first_pred = groups.pred_indptr[groups.multicasts[2][groups.m_order[pick]]]
+    for key, u in zip(
+        groups.mg_key[pick].tolist(), groups.pred_rows[first_pred].tolist()
+    ):
+        edges.add((key // n, key % n, u))
+    for key in groups.ug_key[_spread(groups.ug_key.size, quarter)].tolist():
         edges.add((key // (n * n), (key // n) % n, key % n))
     mat = _Materializer(plan, sends)
+    kinds = (mat.broadcast, mat.multicast, mat.unicast)
     wire = sim.wire
     for r, v, u in sorted(edges):
         rows, charged = groups.frame(r, v, u)
-        messages = [
-            mat.unicast(row) if is_unicast else mat.broadcast(row)
-            for _rank, is_unicast, row in rows
-        ]
+        messages = [kinds[kind](row) for _rank, kind, row in rows]
         _word, frame_bits = encode_frame(messages, wire)
         if frame_bits != charged:
             raise WireCodecError(
@@ -914,7 +1059,9 @@ def _replay(sim, plan: _Plan, sends: _Sends) -> None:
     round monitors, the full frame audit) or ends exceptionally; follows
     ``RoundKernel.step`` line for line — same drain order, same per-edge
     totals, same raise points, same partial tracer/stats state.  The
-    only place the broadcasts are expanded into per-send rows.
+    only place the broadcasts, and (outside the shared-round fallback
+    of :func:`edge_round_groups`) the multicasts, are expanded into
+    per-send rows.
     """
     stats = sim.stats
     wire = sim.wire
@@ -931,27 +1078,34 @@ def _replay(sim, plan: _Plan, sends: _Sends) -> None:
     max_rounds = sim.max_rounds
     N = plan.N
     b_r, b_v, b_slot, _b_bits = sends.broadcasts
+    m_r, m_v, m_pair, _m_bits = sends.multicasts
     u_r, u_v, u_t, _u_bits, u_rank = sends.unicasts
-    fan = plan.deg[b_v]
-    row = np.repeat(np.arange(b_r.size, dtype=np.int64), fan)
-    seq = np.arange(row.size, dtype=np.int64) - np.repeat(
-        np.cumsum(fan) - fan, fan
-    )
+    b_row, b_seq, b_tgt = _fan_out(plan.indptr, plan.indices, b_v)
+    m_row, m_seq, m_tgt = _fan_out(plan.pred_indptr, plan.pred_rows, m_pair)
+    rounds = np.concatenate((b_r[b_row], m_r[m_row], u_r))
+    senders = np.concatenate((b_v[b_row], m_v[m_row], u_v))
+    k_b = b_row.size
+    k_bm = k_b + m_row.size
     order = np.argsort(np.concatenate((
-        _drain_rank(N, b_r[row], b_v[row], b_slot[row], seq), u_rank,
+        _drain_rank(N, rounds[:k_b], senders[:k_b], b_slot[b_row], b_seq),
+        _drain_rank(
+            N, rounds[k_b:k_bm], senders[k_b:k_bm], _SLOT_AGGVALUE, m_seq
+        ),
+        u_rank,
     )))
-    n_bcast = b_r.size
-    r_l = np.concatenate((b_r[row], u_r))[order].tolist()
-    snd_l = np.concatenate((b_v[row], u_v))[order].tolist()
-    tgt_l = np.concatenate((
-        plan.indices[np.repeat(plan.indptr[b_v], fan) + seq], u_t,
-    ))[order].tolist()
-    # One handle per send: a broadcast row, or n_bcast + a unicast row.
+    r_l = rounds[order].tolist()
+    snd_l = senders[order].tolist()
+    tgt_l = np.concatenate((b_tgt, m_tgt, u_t))[order].tolist()
+    # One handle per send: a broadcast row, n_b + a multicast row, or
+    # n_bm + a unicast row.
+    n_b = b_r.size
+    n_bm = n_b + m_r.size
     handle_l = np.concatenate((
-        row, n_bcast + np.arange(u_r.size, dtype=np.int64),
+        b_row, n_b + m_row, n_bm + np.arange(u_r.size, dtype=np.int64),
     ))[order].tolist()
     mat = _Materializer(plan, sends)
     broadcast = mat.broadcast
+    multicast = mat.multicast
     unicast = mat.unicast
     total_sends = len(r_l)
     i = 0
@@ -977,7 +1131,12 @@ def _replay(sim, plan: _Plan, sends: _Sends) -> None:
             sender = snd_l[i]
             target = tgt_l[i]
             h = handle_l[i]
-            message = broadcast(h) if h < n_bcast else unicast(h - n_bcast)
+            if h < n_b:
+                message = broadcast(h)
+            elif h < n_bm:
+                message = multicast(h - n_b)
+            else:
+                message = unicast(h - n_bm)
             bits = message.bit_size(wire)
             if tracer is not None:
                 tracer.record(round_number, sender, target, message, bits)
@@ -1216,13 +1375,12 @@ def _compute(sim):
 
     level_keys, settled = _batched_bfs(plan, indptr, indices, deg)
     # Levels hold disjoint pairs: one sort orders every link by pair.
-    plan.pair_rows, plan.pred_rows = np.divmod(
+    pair_rows, plan.pred_rows = np.divmod(
         np.sort(np.concatenate(level_keys)), N
     )
     plan.pred_indptr = np.zeros(S * N + 1, dtype=np.int64)
-    plan.pred_indptr[1:] = np.cumsum(
-        np.bincount(plan.pair_rows, minlength=S * N)
-    )
+    plan.pred_indptr[1:] = np.cumsum(np.bincount(pair_rows, minlength=S * N))
+    del pair_rows
 
     # Completion convergecast: eccentricities, done-report rounds, and
     # the root's counting result.
@@ -1310,7 +1468,9 @@ def run_bulk(sim):
     del settle  # the BfsWave rows hold a copy
     if profiler is not None:
         profiler.add("engine.bulk.plan", perf_counter() - started)
-        profiler.bump("engine.bulk.sends", sends.total(plan.deg))
+        profiler.bump(
+            "engine.bulk.sends", sends.total(plan.deg, plan.pred_indptr)
+        )
     needs_replay = (
         sim.tracer is not None
         or sim.frame_audit
@@ -1327,7 +1487,8 @@ def run_bulk(sim):
     groups = None
     if not needs_replay:
         groups = edge_round_groups(
-            plan.indptr, plan.indices, sends.broadcasts, sends.unicasts
+            plan.indptr, plan.indices, plan.pred_indptr, plan.pred_rows,
+            sends.broadcasts, sends.multicasts, sends.unicasts,
         )
         # Bits are positive, so a send breaks the budget exactly when
         # some edge-round total does; replay raises at that send.
@@ -1342,6 +1503,9 @@ def run_bulk(sim):
         _sampling_audit(sim, plan, sends, groups)
         if profiler is not None:
             profiler.add("engine.bulk.stats", perf_counter() - started)
+    # The tables and groups are the run's largest arrays after the plan:
+    # free them before the node back-fill allocates its own.
+    del sends, groups
     _emit_phase_marks(sim, plan)
     _populate_nodes(sim, plan, value_round)
     sim.stats.rounds = plan.rounds

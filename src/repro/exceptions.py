@@ -288,6 +288,18 @@ class SupervisionConfigError(ReproError, ValueError):
     """
 
 
+class SimulatorConfigError(ReproError, ValueError):
+    """A :class:`~repro.congest.simulator.Simulator` setting is invalid.
+
+    Raised for an unknown engine or partitioner name, or a worker count
+    or ``congest_factor`` that is not a positive int; the pipeline
+    entry points such as
+    :func:`~repro.core.pipeline.distributed_betweenness` pass these
+    through.  It is also a ``ValueError``, so code that catches that
+    keeps working.
+    """
+
+
 class SampleSizeError(ReproError, ValueError):
     """A sampled run asks for a pivot count outside ``1 .. N``.
 

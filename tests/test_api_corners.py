@@ -47,6 +47,33 @@ class TestResultObjectCorners:
         with pytest.raises(exceptions.UnknownNodeError):
             call()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"engine": "bogus"},
+                "unknown engine 'bogus' (expected one of "
+                "('sweep', 'event', 'bulk', 'shard', 'auto'))",
+            ),
+            ({"workers": 0}, "workers must be a positive int, got 0"),
+            (
+                {"congest_factor": 0},
+                "congest_factor must be a positive int, got 0",
+            ),
+            (
+                {"partitioner": "bogus"},
+                "unknown partitioner 'bogus' (expected one of "
+                "('block', 'greedy'))",
+            ),
+        ],
+        ids=["engine", "workers", "congest_factor", "partitioner"],
+    )
+    def test_bad_simulator_setting_raises_typed_error(self, kwargs, message):
+        with pytest.raises(exceptions.SimulatorConfigError) as info:
+            distributed_betweenness(path_graph(4), **kwargs)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message
+
     def test_dependency_excludes_self_source(self):
         result = distributed_betweenness(path_graph(4), arithmetic="exact")
         deps = result.nodes[1].aggregation.dependencies()

@@ -323,6 +323,26 @@ def test_bulk_matches_sweep_on_variants(graph, variant):
     assert runs["sweep"] == runs["bulk"]
 
 
+@pytest.mark.parametrize("cut", [None, {0}])
+def test_bulk_matches_event_when_a_token_hop_shares_an_aggregation_round(cut):
+    # With one source the DFS token is still walking during aggregation:
+    # its hop 6 -> 0 and node 6's AggValue to 0 both go out in round 23,
+    # so the AggValue multicasts fall back to per-link rows.  The cut
+    # counts that edge-round as one crossing group.
+    kwargs = {
+        "root": 1,
+        "cut": cut,
+        "config": ProtocolConfig(sources=frozenset({0})),
+    }
+    runs = [
+        _fp(distributed_betweenness(
+            star_graph(7), arithmetic="lfloat", engine=e, **kwargs
+        ))
+        for e in ("event", "bulk")
+    ]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("arithmetic", ["lfloat-12", "lfloat-26", "lfloat-30"])
 def test_bulk_matches_event_on_a_hub_heavy_graph(arithmetic):
     # A degree-22 hub gives the BFS and psi folds groups of up to 22 rows
@@ -341,8 +361,14 @@ def test_bulk_matches_event_on_a_hub_heavy_graph(arithmetic):
 # ----------------------------------------------------------------------
 @st.composite
 def _random_tables(draw):
-    """Random broadcast/unicast tables on a small graph, dense enough
-    (few rounds, few widths) that edge-round totals tie often."""
+    """Random broadcast/multicast/unicast tables on a small graph, dense
+    enough (few rounds, few widths) that edge-round totals tie often.
+
+    Multicasts may share a (round, sender) with each other, with a
+    broadcast or with a unicast (the per-link fallback), or be kept to
+    keys nothing else uses (the reduction without per-link rows); they
+    may also fall in one extra round of their own.
+    """
     graph = draw(connected_graphs(max_nodes=5))
     n = graph.num_nodes
     rounds = draw(st.integers(min_value=1, max_value=2))
@@ -365,17 +391,45 @@ def _random_tables(draw):
         nbrs = graph.neighbors(v)
         # seq keeps (round, sender, slot, seq) unique, as drain order is.
         ucast.append((r, v, nbrs[pick % len(nbrs)], bits, slot, len(ucast)))
+    # Two sources' predecessor lists: a multicast's pair s * n + v holds
+    # a non-empty subset of v's neighbors, picked by a bitmask.
+    preds = [[] for _pair in range(2 * n)]
+    mcast = []
+    busy = {(r, v) for (r, v), _slot, _bits in bcast}
+    busy.update((r, v) for r, v, *_rest in ucast)
+    apart = draw(st.booleans())
+    for r, v, s, bits, mask in draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=rounds),
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=1),
+            st.integers(1, 2),
+            st.integers(min_value=0),
+        ),
+        max_size=8,
+    )):
+        if not (apart and (r, v) in busy):
+            nbrs = graph.neighbors(v)
+            pair = s * n + v
+            if not preds[pair]:
+                mask = mask % ((1 << len(nbrs)) - 1) + 1
+                preds[pair] = [u for i, u in enumerate(nbrs) if mask >> i & 1]
+            mcast.append((r, v, pair, bits))
+            busy.add((r, v))
     cut = draw(st.none() | st.frozensets(st.integers(0, n - 1), min_size=1))
-    return graph, rounds, bcast, ucast, cut
+    return graph, rounds + 1, bcast, mcast, preds, ucast, cut
 
 
-def _reference_stats(graph, rounds, bcast, ucast, cut):
+def _reference_stats(graph, rounds, bcast, mcast, preds, ucast, cut):
     """One send at a time in drain order through ``observe_round``."""
     n = graph.num_nodes
     sends = []
     for (r, v), slot, bits in bcast:
         for seq, u in enumerate(graph.neighbors(v)):
             sends.append((((r * n + v) * 16 + slot) * n + seq, r, v, u, bits))
+    for r, v, pair, bits in mcast:
+        for seq, u in enumerate(preds[pair]):
+            sends.append((((r * n + v) * 16 + 10) * n + seq, r, v, u, bits))
     for r, v, u, bits, slot, seq in ucast:
         sends.append((((r * n + v) * 16 + slot) * n + seq, r, v, u, bits))
     sends.sort()
@@ -399,26 +453,48 @@ def _reference_stats(graph, rounds, bcast, ucast, cut):
 @example((
     # Node 1's edges tie at the maximum; the unicasts alone would pick
     # 1 -> 2, but the broadcast reaches 1 -> 0 first.
-    path_graph(3), 1, [((0, 1), 4, 2)],
+    path_graph(3), 1, [((0, 1), 4, 2)], [], [[]] * 6,
     [(0, 1, 0, 1, 10, 0), (0, 1, 2, 1, 5, 1)], None,
 ))
+@example((
+    # A multicast from node 1 ties a unicast from node 2 at the maximum:
+    # the lower sender drains first, on its pair's first predecessor.
+    path_graph(3), 2, [((0, 0), 0, 1)], [(0, 1, 1, 2)],
+    [[], [0, 2], [], [], [], []], [(0, 2, 1, 2, 1, 0)], None,
+))
+@example((
+    # A multicast alone holds the maximum.
+    path_graph(3), 2, [((0, 0), 0, 1)], [(1, 1, 1, 2)],
+    [[], [0, 2], [], [], [], []], [(0, 2, 1, 1, 1, 0)], None,
+))
+@example((
+    # Two multicasts on one (round, sender) share edge 1 -> 0, which
+    # crosses the cut: one group of two sends.
+    path_graph(3), 2, [((0, 0), 0, 1)], [(1, 1, 1, 1), (1, 1, 4, 1)],
+    [[], [0], [], [], [0, 2], []], [(0, 2, 1, 1, 1, 0)], frozenset({0}),
+))
 def test_edge_round_groups_match_a_per_send_reduction(tables):
-    graph, rounds, bcast, ucast, cut = tables
+    graph, rounds, bcast, mcast, preds, ucast, cut = tables
     n = graph.num_nodes
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum([len(graph.neighbors(v)) for v in range(n)])
     indices = np.array(
         [u for v in range(n) for u in graph.neighbors(v)], dtype=np.int64
     )
+    pred_indptr = np.zeros(len(preds) + 1, dtype=np.int64)
+    pred_indptr[1:] = np.cumsum([len(p) for p in preds])
+    pred_rows = np.array([u for p in preds for u in p], dtype=np.int64)
     b = np.array([(r, v, slot, bits) for (r, v), slot, bits in bcast])
+    m = np.array(mcast, dtype=np.int64).reshape(-1, 4)
     u = np.array(ucast, dtype=np.int64)
     rank = ((u[:, 0] * n + u[:, 1]) * 16 + u[:, 4]) * n + u[:, 5]
     stats = SimulationStats()
     stats.cut = CutTracker(cut) if cut is not None else None
     bulk.populate_stats(stats, rounds, bulk.edge_round_groups(
-        indptr, indices, tuple(b.T), (u[:, 0], u[:, 1], u[:, 2], u[:, 3], rank),
+        indptr, indices, pred_indptr, pred_rows, tuple(b.T), tuple(m.T),
+        (u[:, 0], u[:, 1], u[:, 2], u[:, 3], rank),
     ))
-    want = _reference_stats(graph, rounds, bcast, ucast, cut)
+    want = _reference_stats(graph, rounds, bcast, mcast, preds, ucast, cut)
     assert stats.summary() == want.summary()
     assert stats.round_series == want.round_series
     if cut is not None:
