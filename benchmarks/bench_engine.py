@@ -27,7 +27,9 @@ reduction (:func:`repro.engines.bulk.edge_round_groups` +
 :func:`repro.engines.bulk.populate_stats`): quadrupling N at fixed
 broadcast, multicast and unicast volumes must not materially change its
 runtime — the reduction is O(table rows), never O(N × rounds).  A memory
-gate holds one BA N = 400 bulk job's traced peak under a fixed ceiling.
+gate holds one BA N = 400 bulk job's traced peak under a fixed ceiling,
+and a cost gate holds a monitored bulk job, which replays every send
+through ``drive_rounds``, well under the sweep engine's time.
 """
 
 import json
@@ -392,6 +394,58 @@ def test_bulk_job_traced_peak_memory(benchmark):
     )
     assert stats["messages"] == 1_264_319
     assert stats["traced_peak_mb"] <= BULK_JOB_PEAK_MB
+
+
+# ----------------------------------------------------------------------
+# bulk replay cost: a monitored job replays every send
+# ----------------------------------------------------------------------
+#: Ceiling on a monitored bulk job's time as a share of sweep's.  A
+#: round monitor makes the bulk engine replay every send under
+#: ``drive_rounds``; that measured 0.36-0.64x of sweep on BA N = 100 on a
+#: noisy 2-vCPU VM.
+REPLAY_SWEEP_RATIO = 0.8
+
+
+def measure_replay_cost(reps=3):
+    """Best-of-``reps`` interleaved times of one BA N = 100 (m = 3,
+    seed 1) job with a :class:`~repro.obs.BandwidthMonitor`, on bulk
+    (which replays) and on sweep, in process."""
+    pytest.importorskip("numpy")
+    from repro.graphs import barabasi_albert_graph
+    from repro.obs import BandwidthMonitor
+
+    graph = barabasi_albert_graph(100, 3, seed=1)
+    best = {}
+    outputs = {}
+    for _ in range(reps):
+        for engine in ("bulk", "sweep"):
+            monitor = BandwidthMonitor()
+            start = time.perf_counter()
+            result = distributed_betweenness(
+                graph, arithmetic="lfloat", engine=engine,
+                telemetry=Telemetry(monitors=[monitor]),
+            )
+            elapsed = time.perf_counter() - start
+            best[engine] = min(best.get(engine, elapsed), elapsed)
+            outputs[engine] = (_fingerprint(result), monitor.verdict())
+    return {
+        "messages": result.stats.message_count,
+        "identical": outputs["bulk"] == outputs["sweep"],
+        "bulk_seconds": round(best["bulk"], 4),
+        "sweep_seconds": round(best["sweep"], 4),
+        "bulk_sweep_ratio": round(best["bulk"] / best["sweep"], 3),
+    }
+
+
+def test_monitored_bulk_replay_cost(benchmark):
+    stats = once(benchmark, measure_replay_cost)
+    print_table(
+        ["metric", "value"],
+        [[key, value] for key, value in stats.items()],
+        title="E15e monitored bulk replay vs sweep (BA N=100, m=3, seed 1)",
+    )
+    assert stats["identical"]
+    assert stats["bulk_sweep_ratio"] <= REPLAY_SWEEP_RATIO
 
 
 # ----------------------------------------------------------------------

@@ -12,19 +12,22 @@ round in four steps:
 2. :meth:`~RoundKernel.activate` picks the nodes to step — all of them
    in sweep mode and in round 0, otherwise the woken receivers plus the
    due self-wakes — and drops crashed nodes;
-3. :meth:`~RoundKernel.step` steps them in id order and bills every
-   send: bit size, tracer and telemetry hooks, per-edge load, the
-   strict budget, frame collection, fault delivery and routing;
+3. :meth:`~RoundKernel.step` steps them in id order, bills every send
+   through the :meth:`~RoundKernel.biller` closure (bit size, tracer
+   and telemetry hooks, per-edge load, the strict budget, frame
+   collection) and routes it (fault delivery, local or cross-shard);
 4. :meth:`~RoundKernel.close_round` runs the frame audit and hands over
    the round's per-edge loads.
 
 :func:`drive_rounds` is the one outer loop around a round: the tick,
 the stall deadline, the round limit, the termination test, the idle
-fast-forward and the per-round stats.  It drives a *round source*.  In
-one process (the sweep and event engines) the source is a
-:class:`RoundKernel`; in a sharded run it is the coordinator of
-:mod:`repro.shard.runtime`, whose round is a barrier exchange with the
-shard workers.
+fast-forward and the per-round stats.  It drives one of three *round
+sources*: a :class:`RoundKernel` in one process (the sweep and event
+engines); the coordinator of :mod:`repro.shard.runtime`, whose round is
+a barrier exchange with shard workers that each run
+:meth:`RoundKernel.run_round`; and the bulk engine's replay
+(:mod:`repro.engines.bulk`), which bills its planned sends through the
+kernel's closure.
 
 Routing is one decision, an optional node -> shard owner table.
 Without one (a single process) every send goes to the local in-flight
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.node import Inbox, NodeAlgorithm, RoundContext
 from repro.exceptions import (
@@ -135,6 +138,8 @@ class RoundKernel:
         self.outbox: Dict[int, List[Tuple[int, int, int, Message]]] = {}
         self.cross_messages = 0
         self.cross_bits = 0
+        #: The ``(node, done)`` flips of the last :meth:`run_round`.
+        self.done_changes: List[Tuple[int, bool]] = []
 
     # ------------------------------------------------------------------
     def post(
@@ -234,7 +239,7 @@ class RoundKernel:
     def step(
         self, round_number: int, active: Sequence[int]
     ) -> List[Tuple[int, bool]]:
-        """Step 3: step ``active`` and bill every send.
+        """Step 3: step ``active``, bill every send and route it.
 
         Returns the ``(node, done)`` flips of this round.
         """
@@ -242,16 +247,10 @@ class RoundKernel:
         started = perf_counter() if profiler is not None else 0.0
         nodes = self.nodes
         deferred = self.deferred
-        wire = self.wire
-        tracer = self.tracer
-        on_send = self.on_send
-        budget = self.budget
-        frames = self.frames
+        bill = self.biller(round_number)
         faults = self.faults
         owner = self.owner
         shard = self.shard
-        edge_load = self.edge_load
-        edge_load_get = edge_load.get
         in_flight = self.in_flight
         in_flight_get = in_flight.get
         wakes = not self.sweep
@@ -270,25 +269,7 @@ class RoundKernel:
                 node.on_start(ctx)
             node.on_round(ctx, inbox)
             for target, message in ctx.drain():
-                bits = message.bit_size(wire)
-                if tracer is not None:
-                    tracer.record(round_number, node_id, target, message, bits)
-                if on_send is not None:
-                    on_send(round_number, node_id, target, message, bits)
-                key = (node_id, target)
-                load = edge_load_get(key)
-                if load is None:
-                    edge_load[key] = [1, bits]
-                    total = bits
-                else:
-                    load[0] += 1
-                    total = load[1] = load[1] + bits
-                if budget is not None and total > budget:
-                    raise CongestViolationError(
-                        round_number, node_id, target, total, budget
-                    )
-                if frames is not None:
-                    frames.setdefault(key, []).append(message)
+                bits = bill(node_id, target, message)
                 # The send is billed above regardless of its fate: the
                 # sender transmitted; the network decides delivery.
                 if owner is not None and owner[target] != shard:
@@ -318,6 +299,48 @@ class RoundKernel:
             profiler.add("engine.step", perf_counter() - started)
             profiler.bump("engine.active_node_steps", len(active))
         return done_changes
+
+    def biller(self, round_number: int) -> Callable[[int, int, Message], int]:
+        """The per-send billing of one round, as ``bill(sender, target,
+        message) -> bits``.
+
+        ``bill`` sizes the message, calls the tracer and the telemetry
+        send hook, adds the bits to the edge's load, enforces the strict
+        budget and collects the frame.  Where the send goes is the
+        caller's business.  Build it once per round: it holds the
+        round's load buffer, which :meth:`close_round` swaps out.
+        """
+        wire = self.wire
+        tracer = self.tracer
+        on_send = self.on_send
+        budget = self.budget
+        frames = self.frames
+        edge_load = self.edge_load
+        edge_load_get = edge_load.get
+
+        def bill(sender: int, target: int, message: Message) -> int:
+            bits = message.bit_size(wire)
+            if tracer is not None:
+                tracer.record(round_number, sender, target, message, bits)
+            if on_send is not None:
+                on_send(round_number, sender, target, message, bits)
+            key = (sender, target)
+            load = edge_load_get(key)
+            if load is None:
+                edge_load[key] = [1, bits]
+                total = bits
+            else:
+                load[0] += 1
+                total = load[1] = load[1] + bits
+            if budget is not None and total > budget:
+                raise CongestViolationError(
+                    round_number, sender, target, total, budget
+                )
+            if frames is not None:
+                frames.setdefault(key, []).append(message)
+            return bits
+
+        return bill
 
     def _send_remote(
         self, round_number: int, sender: int, target: int, message, bits: int
@@ -353,12 +376,12 @@ class RoundKernel:
     # round source of drive_rounds (one process)
     # ------------------------------------------------------------------
     def run_round(self, round_number: int) -> EdgeLoad:
-        """Steps 1-4 for one round; returns its per-edge loads."""
+        """Steps 1-4 for one round; returns its per-edge loads and keeps
+        its done flips in :attr:`done_changes`."""
         had_traffic = self.deliver(round_number)
         active = self.activate(round_number)
-        if active:
-            self.step(round_number, active)
-        elif had_traffic and self.profiler is not None:
+        self.done_changes = self.step(round_number, active) if active else []
+        if had_traffic and not active and self.profiler is not None:
             # Every arrival this round was passive: the round elapses
             # (the messages were on the wire) but no node steps.
             self.profiler.bump("engine.passive_rounds")
@@ -545,20 +568,32 @@ def audit_frames(
     edge_load: EdgeLoad,
     frames: Dict[Tuple[int, int], List[Message]],
 ) -> None:
-    """Materialize each edge's coalesced frame and check its length.
+    """Check every edge's coalesced frame of one round (see
+    :func:`check_frame`)."""
+    for edge, load in edge_load.items():
+        check_frame(wire, round_number, edge, frames[edge], load[1])
 
-    The accounting charged ``sum(bit_size)`` per edge; the codec
+
+def check_frame(
+    wire: WireFormat,
+    round_number: int,
+    edge: Tuple[int, int],
+    messages: List[Message],
+    charged: int,
+) -> None:
+    """Materialize one edge's coalesced frame and check its length.
+
+    The accounting charged ``sum(bit_size)`` on the edge; the codec
     guarantees a coalesced frame is exactly that long.  A mismatch
     means a message lied about its size (or mutated after being
     enqueued) and the CONGEST budget was enforced on wrong numbers.
     """
-    for key, load in edge_load.items():
-        _word, frame_bits = encode_frame(frames[key], wire)
-        if frame_bits != load[1]:
-            sender, receiver = key
-            raise WireCodecError(
-                "round {}: edge {}->{} charged {} bits but its "
-                "encoded frame is {} bits".format(
-                    round_number, sender, receiver, load[1], frame_bits
-                )
+    _word, frame_bits = encode_frame(messages, wire)
+    if frame_bits != charged:
+        sender, receiver = edge
+        raise WireCodecError(
+            "round {}: edge {}->{} charged {} bits but its "
+            "encoded frame is {} bits".format(
+                round_number, sender, receiver, charged, frame_bits
             )
+        )

@@ -36,20 +36,23 @@ cross-checks the charged totals, failing with the same
 audit raises.  When a run needs per-send observability (a tracer, the full
 frame audit, telemetry send/round monitors) or ends exceptionally
 (strict-mode violation, round-limit overrun), the engine *replays* the
-send tables, expanded to one row per send, through the exact billing
-sequence of the round kernel's ``RoundKernel.step`` — same drain order,
-same message objects, same partial state at the point of raise.
+send tables, expanded to one row per send in drain order, as the third
+round source of :func:`repro.congest.kernel.drive_rounds` next to the
+round kernel and the shard coordinator: each send is billed by the
+kernel's own per-send billing, and ``drive_rounds`` closes, limits and
+records the rounds, so the partial state at the point of raise is the
+sweep engine's.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arithmetic.lfloat import LFloat, Rounding
-from repro.congest.kernel import audit_frames
+from repro.congest.kernel import EdgeLoad, RoundKernel, check_frame, drive_rounds
 from repro.core.config import UNIT_STRESS
 from repro.core.records import NodeLedger
 from repro.core.schedule import (
@@ -60,11 +63,6 @@ from repro.core.schedule import (
     tree_schedule,
 )
 from repro.engines import lfmath
-from repro.exceptions import (
-    CongestViolationError,
-    SimulationNotTerminatedError,
-    WireCodecError,
-)
 from repro.wire import (
     AggStart,
     AggValue,
@@ -77,7 +75,6 @@ from repro.wire import (
     TreeWave,
 )
 from repro.wire.bits import uint_bits
-from repro.wire.codec import encode_frame
 from repro.wire.format import TYPE_TAG_BITS
 
 __all__ = ["run_bulk", "edge_round_groups", "populate_stats"]
@@ -1037,138 +1034,112 @@ def _sampling_audit(sim, plan: _Plan, sends: _Sends, groups: _Groups) -> None:
         edges.add((key // (n * n), (key // n) % n, key % n))
     mat = _Materializer(plan, sends)
     kinds = (mat.broadcast, mat.multicast, mat.unicast)
-    wire = sim.wire
     for r, v, u in sorted(edges):
         rows, charged = groups.frame(r, v, u)
         messages = [kinds[kind](row) for _rank, kind, row in rows]
-        _word, frame_bits = encode_frame(messages, wire)
-        if frame_bits != charged:
-            raise WireCodecError(
-                "round {}: edge {}->{} charged {} bits but its "
-                "encoded frame is {} bits".format(r, v, u, charged, frame_bits)
-            )
+        check_frame(sim.wire, r, (v, u), messages, charged)
 
 
 # ---------------------------------------------------------------------------
 # replay (exact per-send observability)
 # ---------------------------------------------------------------------------
-def _replay(sim, plan: _Plan, sends: _Sends) -> None:
-    """Drive the send tables through sweep-exact billing, one send at a time.
+class _Replay:
+    """The send tables as a round source of :func:`drive_rounds`.
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
-    round monitors, the full frame audit) or ends exceptionally; follows
-    ``RoundKernel.step`` line for line — same drain order, same per-edge
-    totals, same raise points, same partial tracer/stats state.  The
-    only place the broadcasts, and (outside the shared-round fallback
-    of :func:`edge_round_groups`) the multicasts, are expanded into
-    per-send rows.
+    round monitors, the full frame audit) or ends exceptionally.  Round
+    r bills the plan's round-r sends in drain order through a
+    :class:`RoundKernel`'s per-send billing and closes the round with
+    its ``close_round``; ``drive_rounds`` does the rest.  The sends,
+    per-edge totals, raise points and partial tracer and stats state
+    are therefore the sweep engine's.  The only place the broadcasts,
+    and (outside the shared-round fallback of :func:`edge_round_groups`)
+    the multicasts, are expanded into per-send rows.
     """
-    stats = sim.stats
-    wire = sim.wire
-    tracer = sim.tracer
-    telemetry = sim.telemetry
-    on_send = None
-    on_round_end = None
-    if telemetry is not None:
-        if telemetry.wants_sends:
-            on_send = telemetry.on_send
-        on_round_end = telemetry.on_round_end
-    budget = sim.bit_budget if sim.strict else None
-    audit = sim.frame_audit
-    max_rounds = sim.max_rounds
-    N = plan.N
-    b_r, b_v, b_slot, _b_bits = sends.broadcasts
-    m_r, m_v, m_pair, _m_bits = sends.multicasts
-    u_r, u_v, u_t, _u_bits, u_rank = sends.unicasts
-    b_row, b_seq, b_tgt = _fan_out(plan.indptr, plan.indices, b_v)
-    m_row, m_seq, m_tgt = _fan_out(plan.pred_indptr, plan.pred_rows, m_pair)
-    rounds = np.concatenate((b_r[b_row], m_r[m_row], u_r))
-    senders = np.concatenate((b_v[b_row], m_v[m_row], u_v))
-    k_b = b_row.size
-    k_bm = k_b + m_row.size
-    order = np.argsort(np.concatenate((
-        _drain_rank(N, rounds[:k_b], senders[:k_b], b_slot[b_row], b_seq),
-        _drain_rank(
-            N, rounds[k_b:k_bm], senders[k_b:k_bm], _SLOT_AGGVALUE, m_seq
-        ),
-        u_rank,
-    )))
-    r_l = rounds[order].tolist()
-    snd_l = senders[order].tolist()
-    tgt_l = np.concatenate((b_tgt, m_tgt, u_t))[order].tolist()
-    # One handle per send: a broadcast row, n_b + a multicast row, or
-    # n_bm + a unicast row.
-    n_b = b_r.size
-    n_bm = n_b + m_r.size
-    handle_l = np.concatenate((
-        b_row, n_b + m_row, n_bm + np.arange(u_r.size, dtype=np.int64),
-    ))[order].tolist()
-    mat = _Materializer(plan, sends)
-    broadcast = mat.broadcast
-    multicast = mat.multicast
-    unicast = mat.unicast
-    total_sends = len(r_l)
-    i = 0
-    edge_load: Dict[Tuple[int, int], List[int]] = {}
-    frames: Dict[Tuple[int, int], List[Any]] = {}
-    # Like the round loop, the limit is checked before the termination
-    # test, so the terminal round itself can overrun it.
-    for round_number in range(plan.rounds + 1):
-        if round_number > max_rounds:
-            raise SimulationNotTerminatedError(
-                round_number,
-                max_rounds,
-                tuple(
-                    v for v in range(plan.N)
-                    if plan.done_round[v] > max_rounds
-                ),
-                sim.graph.name,
-            )
-        if round_number == plan.rounds:
-            return
-        stats.start_round()
-        while i < total_sends and r_l[i] == round_number:
-            sender = snd_l[i]
-            target = tgt_l[i]
-            h = handle_l[i]
+
+    def __init__(self, sim, plan: _Plan, sends: _Sends):
+        self.kernel = RoundKernel(sim)
+        self.done_round = plan.done_round
+        self.rounds = plan.rounds
+        N = plan.N
+        b_r, b_v, b_slot, _b_bits = sends.broadcasts
+        m_r, m_v, m_pair, _m_bits = sends.multicasts
+        u_r, u_v, u_t, _u_bits, u_rank = sends.unicasts
+        b_row, b_seq, b_tgt = _fan_out(plan.indptr, plan.indices, b_v)
+        m_row, m_seq, m_tgt = _fan_out(plan.pred_indptr, plan.pred_rows, m_pair)
+        rounds = np.concatenate((b_r[b_row], m_r[m_row], u_r))
+        senders = np.concatenate((b_v[b_row], m_v[m_row], u_v))
+        k_b = b_row.size
+        k_bm = k_b + m_row.size
+        order = np.argsort(np.concatenate((
+            _drain_rank(N, rounds[:k_b], senders[:k_b], b_slot[b_row], b_seq),
+            _drain_rank(
+                N, rounds[k_b:k_bm], senders[k_b:k_bm], _SLOT_AGGVALUE, m_seq
+            ),
+            u_rank,
+        )))
+        # Drain order is round-major: round r's sends are
+        # [starts[r], starts[r + 1]).
+        self.starts = np.searchsorted(
+            rounds[order], np.arange(plan.rounds + 1)
+        ).tolist()
+        self.senders = senders[order].tolist()
+        self.targets = np.concatenate((b_tgt, m_tgt, u_t))[order].tolist()
+        # One handle per send: a broadcast row, n_b + a multicast row, or
+        # n_bm + a unicast row.
+        self.n_b = b_r.size
+        self.n_bm = self.n_b + m_r.size
+        self.handles = np.concatenate((
+            b_row, self.n_b + m_row,
+            self.n_bm + np.arange(u_r.size, dtype=np.int64),
+        ))[order].tolist()
+        self.mat = _Materializer(plan, sends)
+        self.next_round = 0
+
+    def run_round(self, round_number: int) -> EdgeLoad:
+        """Bill round ``round_number``'s sends; return its per-edge loads."""
+        bill = self.kernel.biller(round_number)
+        mat = self.mat
+        broadcast = mat.broadcast
+        multicast = mat.multicast
+        unicast = mat.unicast
+        n_b = self.n_b
+        n_bm = self.n_bm
+        lo = self.starts[round_number]
+        hi = self.starts[round_number + 1]
+        for sender, target, h in zip(
+            self.senders[lo:hi], self.targets[lo:hi], self.handles[lo:hi]
+        ):
             if h < n_b:
                 message = broadcast(h)
             elif h < n_bm:
                 message = multicast(h - n_b)
             else:
                 message = unicast(h - n_bm)
-            bits = message.bit_size(wire)
-            if tracer is not None:
-                tracer.record(round_number, sender, target, message, bits)
-            if on_send is not None:
-                on_send(round_number, sender, target, message, bits)
-            key = (sender, target)
-            load = edge_load.get(key)
-            if load is None:
-                edge_load[key] = [1, bits]
-                total = bits
-            else:
-                load[0] += 1
-                total = load[1] = load[1] + bits
-            if budget is not None and total > budget:
-                raise CongestViolationError(
-                    round_number, sender, target, total, budget
-                )
-            if audit:
-                frame = frames.get(key)
-                if frame is None:
-                    frames[key] = [message]
-                else:
-                    frame.append(message)
-            i += 1
-        if edge_load:
-            if audit:
-                audit_frames(wire, round_number, edge_load, frames)
-                frames.clear()
-            stats.observe_round(round_number, edge_load)
-            if on_round_end is not None:
-                on_round_end(round_number, edge_load)
-            edge_load.clear()
+            bill(sender, target, message)
+        self.next_round = round_number + 1
+        return self.kernel.close_round(round_number)
+
+    def arrivals(self, round_number: int) -> bool:
+        return round_number < self.rounds
+
+    def next_wake(self, round_number: int) -> int:
+        # A sweep run never fast-forwards.
+        return round_number
+
+    def next_future(self) -> None:
+        return None
+
+    def unfinished(self) -> Tuple[int, ...]:
+        """Nodes that finish in the next round or later."""
+        r = self.next_round
+        return tuple(
+            v for v, done in enumerate(self.done_round) if done >= r
+        )
+
+    @property
+    def pending(self) -> int:
+        return len(self.unfinished())
 
 
 # ---------------------------------------------------------------------------
@@ -1495,7 +1466,8 @@ def run_bulk(sim):
         if sim.strict and groups.max_bits > sim.bit_budget:
             groups = None
     if groups is None:
-        _replay(sim, plan, sends)  # raises on violation / round-limit overrun
+        # Raises on a strict violation or a round-limit overrun.
+        drive_rounds(_Replay(sim, plan, sends), sim)
         if profiler is not None:
             profiler.add("engine.bulk.replay", perf_counter() - started)
     else:

@@ -9,11 +9,12 @@ required (node factories are closures; forked children inherit the
 pre-built node objects copy-on-write), which the dispatcher's
 ``shard_capability`` probe enforces.
 
-Each worker steps its shard's nodes through the same
+Each worker runs its shard's rounds with the same
 :class:`~repro.congest.kernel.RoundKernel` the single-process event
 engine uses (wake heaps, passive-message deferral, crash filtering,
-fault pipeline), with a node -> shard owner table routing sends to
-other shards into a cross-shard outbox.  The coordinator is a round
+fault pipeline), one :meth:`~repro.congest.kernel.RoundKernel.run_round`
+per round, with a node -> shard owner table routing sends to other
+shards into a cross-shard outbox.  The coordinator is a round
 source of the outer loop every round engine shares,
 :func:`~repro.congest.kernel.drive_rounds`: its round is one barrier
 exchange with the workers, and its horizons (arrivals, wakes, delayed
@@ -225,12 +226,9 @@ class _ShardWorker:
         by_sender = itemgetter(0)
         for receiver in touched:
             kernel.in_flight[receiver].sort(key=by_sender)
-        kernel.deliver(round_number)
-        active = kernel.activate(round_number)
-        done_changes = kernel.step(round_number, active) if active else []
         edges = [
             (key[0], key[1], load[0], load[1])
-            for key, load in kernel.close_round(round_number).items()
+            for key, load in kernel.run_round(round_number).items()
         ]
         outbox = {}
         for dst, records in kernel.outbox.items():
@@ -238,23 +236,19 @@ class _ShardWorker:
                 records, round_number, sim.wire
             )
             has_fresh = False
-            n_future = 0
             min_due: Optional[int] = None
             for _s, _r, due, _m in records:
                 if due == round_number + 1:
                     has_fresh = True
-                else:
-                    n_future += 1
-                    if min_due is None or due < min_due:
-                        min_due = due
-            outbox[dst] = (word, bits, opaque, has_fresh, n_future, min_due)
+                elif min_due is None or due < min_due:
+                    min_due = due
+            outbox[dst] = (word, bits, opaque, has_fresh, min_due)
         kernel.outbox = {}
         faults = sim.faults
         report: Dict[str, Any] = {
             "edges": edges,
-            "done_changes": done_changes,
+            "done_changes": kernel.done_changes,
             "min_wake": kernel.wake_heap[0][0] if kernel.wake_heap else None,
-            "future_len": len(kernel.future),
             "min_future": kernel.future[0][0] if kernel.future else None,
             "fresh_next": bool(kernel.in_flight),
             "last_progress": (
@@ -537,10 +531,8 @@ class _Coordinator:
         # Per-shard liveness and last-report state.
         self.alive = [True] * self.n_shards
         self.min_wake: List[Optional[int]] = [None] * self.n_shards
-        self.future_len = [0] * self.n_shards
         self.min_future: List[Optional[int]] = [None] * self.n_shards
         self.pending_frames: List[list] = [[] for _ in range(self.n_shards)]
-        self.pending_future_len = [0] * self.n_shards
         self.pending_min_due: List[Optional[int]] = [None] * self.n_shards
         self.fresh_next = False
         self.last_progress = 0
@@ -743,10 +735,8 @@ class _Coordinator:
             "done_count": self.done_count,
             "alive": list(self.alive),
             "min_wake": list(self.min_wake),
-            "future_len": list(self.future_len),
             "min_future": list(self.min_future),
             "pending_frames": [list(f) for f in self.pending_frames],
-            "pending_future_len": list(self.pending_future_len),
             "pending_min_due": list(self.pending_min_due),
             "fresh_next": self.fresh_next,
             "last_progress": self.last_progress,
@@ -766,10 +756,8 @@ class _Coordinator:
         self.done_count = snap["done_count"]
         self.alive = list(snap["alive"])
         self.min_wake = list(snap["min_wake"])
-        self.future_len = list(snap["future_len"])
         self.min_future = list(snap["min_future"])
         self.pending_frames = [list(f) for f in snap["pending_frames"]]
-        self.pending_future_len = list(snap["pending_future_len"])
         self.pending_min_due = list(snap["pending_min_due"])
         self.fresh_next = snap["fresh_next"]
         self.last_progress = snap["last_progress"]
@@ -1117,7 +1105,6 @@ class _Coordinator:
         if report["last_progress"] > self.last_progress:
             self.last_progress = report["last_progress"]
         self.min_wake[shard] = report["min_wake"]
-        self.future_len[shard] = report["future_len"]
         self.min_future[shard] = report["min_future"]
         if report["fresh_next"]:
             self.fresh_next = True
@@ -1126,14 +1113,13 @@ class _Coordinator:
         self, shard: int, round_number: int, report: Dict[str, Any]
     ) -> None:
         for dst, batch in report["outbox"].items():
-            word, bits, opaque, has_fresh, n_future, min_due = batch
+            word, bits, opaque, has_fresh, min_due = batch
             self.pending_frames[dst].append(
                 (shard, round_number, word, bits, opaque)
             )
             if has_fresh:
                 self.fresh_next = True
-            if n_future:
-                self.pending_future_len[dst] += n_future
+            if min_due is not None:
                 current = self.pending_min_due[dst]
                 if current is None or min_due < current:
                     self.pending_min_due[dst] = min_due
@@ -1211,7 +1197,6 @@ class _Coordinator:
             if self.alive[shard]:
                 conn.send(("round", round_number, frames[shard]))
                 frames[shard] = []
-                self.pending_future_len[shard] = 0
                 self.pending_min_due[shard] = None
         if self.alive[0]:
             try:
@@ -1219,7 +1204,6 @@ class _Coordinator:
             except Exception as exc:
                 report0 = {"error": exc}
             frames[0] = []
-            self.pending_future_len[0] = 0
             self.pending_min_due[0] = None
             reports.append((0, report0))
         for shard, conn, proc in self.children:

@@ -22,12 +22,14 @@ from repro.arithmetic import make_context
 from repro.arithmetic.lfloat import LFloat, Rounding
 from repro.congest import Simulator
 from repro.congest.stats import CutTracker, SimulationStats
+from repro.congest.trace import Tracer
 from repro.core import distributed_betweenness
 from repro.core.config import ProtocolConfig
 from repro.core.node import make_node_factory
 from repro.engines import bulk, bulk_capability, reset_probe
 from repro.engines.lfmath import bit_length, lf_add, lf_mul, lf_reciprocal
 from repro.exceptions import (
+    CongestViolationError,
     EngineCapabilityError,
     ReproError,
     SimulationNotTerminatedError,
@@ -43,6 +45,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.obs import AggregationCollisionMonitor, BandwidthMonitor, Telemetry
 
 from .conftest import connected_graphs
 
@@ -556,10 +559,11 @@ def test_bulk_matches_event_on_generated_graphs(run):
 # ----------------------------------------------------------------------
 # round-limit overruns raise where the round loop raises
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("short", [2, 1, 0])
+@pytest.mark.parametrize("short", [3, 2, 1, 0])
 def test_round_limit_overrun_matches_sweep(short):
     # The round loop checks the limit before it tests for termination,
-    # so a limit one round short of the run fails too.
+    # so a limit one round short of the run fails too.  Three short
+    # stops in the round every node finishes, so all are unfinished.
     graph = balanced_tree(2, 3)
     factory = make_node_factory(
         0,
@@ -577,6 +581,66 @@ def test_round_limit_overrun_matches_sweep(short):
         return "finished", sim.stats.round_series
 
     assert outcome("bulk") == outcome("sweep")
+
+
+# ----------------------------------------------------------------------
+# the replay runs under drive_rounds: strict violations and the
+# send and round hooks act as on sweep and event
+# ----------------------------------------------------------------------
+_REPLAY_GRAPHS = [
+    connected_erdos_renyi_graph(20, 0.3, seed=3),
+    barabasi_albert_graph(30, 3, seed=1),
+]
+
+
+@pytest.mark.parametrize("congest_factor", [2, 3])
+@pytest.mark.parametrize("graph", _REPLAY_GRAPHS, ids=lambda g: g.name)
+def test_strict_violation_matches_sweep_and_event(graph, congest_factor):
+    # The budget breaks mid-round: every engine raises at the same send,
+    # with the same partial stats (the broken round has no row) and the
+    # same tracer stream.
+    factory = make_node_factory(0, make_context("lfloat", graph.num_nodes))
+
+    def outcome(engine):
+        tracer = Tracer()
+        sim = Simulator(
+            graph, factory, engine=engine, strict=True,
+            congest_factor=congest_factor, tracer=tracer,
+        )
+        with pytest.raises(CongestViolationError) as raised:
+            sim.run()
+        stats = sim.stats
+        return (
+            str(raised.value), stats.round_series, stats.message_count,
+            stats.bit_count, tracer.to_json(),
+        )
+
+    expected = outcome("bulk")
+    assert outcome("sweep") == expected
+    assert outcome("event") == expected
+
+
+@pytest.mark.parametrize("congest_factor", [3, 8])
+def test_replay_monitors_match_event(congest_factor):
+    # A send monitor and a round monitor force the replay; at factor 3
+    # the non-strict run goes over budget, so the bandwidth survey
+    # records violations too.
+    graph = _REPLAY_GRAPHS[0]
+    factory = make_node_factory(0, make_context("lfloat", graph.num_nodes))
+
+    def outcome(engine):
+        monitors = [BandwidthMonitor(), AggregationCollisionMonitor()]
+        sim = Simulator(
+            graph, factory, engine=engine, strict=False,
+            congest_factor=congest_factor,
+            telemetry=Telemetry(monitors=monitors),
+        )
+        summary = sim.run().summary()
+        return summary, [(m.verdict(), m.detail()) for m in monitors]
+
+    summary, verdicts = outcome("bulk")
+    assert (summary, verdicts) == outcome("event")
+    assert all(verdict.checked for verdict, _detail in verdicts)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.graphs import (
     path_graph,
 )
 from repro.obs import (
+    BandwidthMonitor,
     BusSubscriber,
     ProgressEstimator,
     Telemetry,
@@ -194,6 +195,30 @@ class TestProgressEstimator:
         # The schedule was never derived for the bulk run (it would be
         # pure overhead), so the row carries no exactness claim.
         assert "rounds_total" not in progress[0]
+
+    def test_replaying_bulk_run_heartbeats_like_sweep(self):
+        """A monitored bulk run replays under ``drive_rounds``, which
+        publishes round heartbeats as it does for sweep; the bulk engine
+        derives no schedule, so the rows carry no percentages."""
+        pytest.importorskip("numpy")
+        telemetry = Telemetry.with_streaming(
+            progress=True, console=False, monitors=[BandwidthMonitor()]
+        )
+        subscriber = telemetry.bus.subscribe()
+        result = distributed_betweenness(
+            cycle_graph(16), engine="bulk", telemetry=telemetry
+        )
+        telemetry.bus.close()
+        progress = [
+            row for row in subscriber.drain() if row.get("event") == "progress"
+        ]
+        assert result.rounds == 142
+        assert progress[:-1] == [
+            {"event": "progress", "round": r} for r in (0, 64, 128)
+        ]
+        assert progress[-1]["final"] is True
+        assert progress[-1]["percent"] == 100.0
+        assert progress[-1]["round"] == result.rounds
 
     def test_unpredictable_run_reports_rounds_only(self):
         estimator = ProgressEstimator()
