@@ -79,7 +79,7 @@ class ExperimentRunner:
         :func:`repro.core.distributed_betweenness`); must return an
         object with the ``rounds``/``diameter``/``stats`` interface.
     engine:
-        Simulator engine passed to every run (``"event"`` by default,
+        Simulator engine passed to every run (``"auto"`` by default,
         matching :func:`repro.core.distributed_betweenness`).
     workers, partitioner:
         Shard-runtime knobs forwarded to every run (meaningful with
@@ -107,11 +107,15 @@ class ExperimentRunner:
         workers: int = 1,
         partitioner: str = "greedy",
     ):
-        self.arithmetic = arithmetic
-        self.engine = engine
-        self.workers = workers
-        self.partitioner = partitioner
-        self.protocol = protocol
+        #: The :func:`repro.core.distributed_betweenness` keywords every
+        #: run of the grid gets, serial or pooled.
+        self.options = {
+            "arithmetic": arithmetic,
+            "engine": engine,
+            "protocol": protocol,
+            "workers": workers,
+            "partitioner": partitioner,
+        }
         self.metrics = metrics or {}
         self.collect_phases = collect_phases
         self._custom_run = run is not None
@@ -120,49 +124,20 @@ class ExperimentRunner:
                 "collect_phases needs the default runner; a custom run "
                 "callable would have to accept telemetry itself"
             )
-        self._run = run or (
-            lambda graph, telemetry=None: distributed_betweenness(
-                graph,
-                arithmetic=self.arithmetic,
-                engine=self.engine,
-                workers=self.workers,
-                partitioner=self.partitioner,
-                telemetry=telemetry,
-                protocol=self.protocol,
-            )
-        )
+        self._run = run or _default_run(self.options)
         self.records: List[RunRecord] = []
 
     # ------------------------------------------------------------------
     def run_family(self, family: str, graphs: Iterable[Graph]) -> List[RunRecord]:
         """Execute the protocol on every instance of ``family``."""
-        out: List[RunRecord] = []
-        for graph in graphs:
-            if self.collect_phases:
-                from repro.obs import Telemetry
-
-                telemetry = Telemetry()
-                result = self._run(graph, telemetry)
-            else:
-                telemetry = None
-                result = self._run(graph)
-            extra = {name: fn(result) for name, fn in self.metrics.items()}
-            if telemetry is not None:
-                extra.update(_phase_columns(telemetry))
-            record = RunRecord(
-                family=family,
-                graph_name=graph.name,
-                num_nodes=graph.num_nodes,
-                num_edges=graph.num_edges,
-                diameter=result.diameter,
-                rounds=result.rounds,
-                messages=result.stats.message_count,
-                bits=result.stats.bit_count,
-                max_edge_bits=result.stats.max_edge_bits_per_round,
-                arithmetic=getattr(result, "arithmetic", self.arithmetic),
-                extra=extra,
+        out = [
+            _record(
+                self._run, family, graph, self.collect_phases,
+                metrics=self.metrics,
+                arithmetic=self.options["arithmetic"],
             )
-            out.append(record)
+            for graph in graphs
+        ]
         self.records.extend(out)
         return out
 
@@ -187,14 +162,10 @@ class ExperimentRunner:
         out = run_many(
             graphs,
             family=family,
-            arithmetic=self.arithmetic,
-            engine=self.engine,
             processes=processes,
             collect_phases=self.collect_phases,
             stream_dir=stream_dir,
-            protocol=self.protocol,
-            workers=self.workers,
-            partitioner=self.partitioner,
+            **self.options,
         )
         self.records.extend(out)
         return out
@@ -276,47 +247,44 @@ def default_max_workers() -> int:
     return os.cpu_count() or 1
 
 
-_Task = Tuple[
-    str, Graph, str, str, bool, Optional[str], Optional[str], int, str
-]
-
-
-def _run_one(task: _Task) -> RunRecord:
-    """Worker body: one protocol run -> one plain-data record.
-
-    Module-level (not a closure) so a ``multiprocessing`` pool can
-    pickle it; the graph rides along in the task tuple, and the
-    protocol travels as its registry name (descriptors hold closures).
-    """
-    (
-        family, graph, arithmetic, engine, collect_phases, stream_path,
-        protocol, workers, partitioner,
-    ) = task
-    if stream_path is not None:
-        from repro.obs import Telemetry
-
-        # Live JSONL per run: a killed worker still leaves its rows.
-        telemetry = Telemetry.with_streaming(
-            jsonl_path=stream_path, progress=True
-        )
-    elif collect_phases:
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry()
-    else:
-        telemetry = None
-    result = distributed_betweenness(
-        graph,
-        arithmetic=arithmetic,
-        engine=engine,
-        workers=workers,
-        partitioner=partitioner,
-        telemetry=telemetry,
-        protocol=protocol,
+def _default_run(options: Dict) -> Callable:
+    """One :func:`repro.core.distributed_betweenness` run per graph,
+    with ``options`` as its keywords."""
+    return lambda graph, telemetry=None: distributed_betweenness(
+        graph, telemetry=telemetry, **options
     )
-    extra = _phase_columns(telemetry) if telemetry is not None else {}
-    if telemetry is not None and getattr(telemetry, "bus", None) is not None:
-        telemetry.bus.close()
+
+
+def _record(
+    run: Callable,
+    family: str,
+    graph: Graph,
+    collect_phases: bool,
+    stream_path: Optional[str] = None,
+    metrics: Optional[Dict[str, Callable]] = None,
+    arithmetic: Optional[str] = None,
+) -> RunRecord:
+    """One ``run`` on ``graph`` -> one plain-data record.
+
+    The run gets a telemetry only when it streams (a live JSONL per
+    run: a killed worker still leaves its rows) or collects phases;
+    ``arithmetic`` labels a result that does not name its own.
+    """
+    telemetry = None
+    if stream_path is not None or collect_phases:
+        from repro.obs import Telemetry
+
+        telemetry = (
+            Telemetry.with_streaming(jsonl_path=stream_path, progress=True)
+            if stream_path is not None
+            else Telemetry()
+        )
+    result = run(graph) if telemetry is None else run(graph, telemetry)
+    extra = {name: fn(result) for name, fn in (metrics or {}).items()}
+    if telemetry is not None:
+        extra.update(_phase_columns(telemetry))
+        if telemetry.bus is not None:
+            telemetry.bus.close()
     return RunRecord(
         family=family,
         graph_name=graph.name,
@@ -327,8 +295,25 @@ def _run_one(task: _Task) -> RunRecord:
         messages=result.stats.message_count,
         bits=result.stats.bit_count,
         max_edge_bits=result.stats.max_edge_bits_per_round,
-        arithmetic=result.arithmetic,
+        arithmetic=getattr(result, "arithmetic", arithmetic),
         extra=extra,
+    )
+
+
+#: A pool task: family, graph, run keywords, collect_phases, stream path.
+_Task = Tuple[str, Graph, Dict, bool, Optional[str]]
+
+
+def _run_one(task: _Task) -> RunRecord:
+    """Worker body: one protocol run -> one plain-data record.
+
+    Module-level (not a closure) so a ``multiprocessing`` pool can
+    pickle it; the graph rides along in the task tuple, and the
+    protocol travels as its registry name (descriptors hold closures).
+    """
+    family, graph, options, collect_phases, stream_path = task
+    return _record(
+        _default_run(options), family, graph, collect_phases, stream_path
     )
 
 
@@ -394,6 +379,13 @@ def run_many(
     if processes is None:
         processes = default_max_workers()
     processes = min(processes, len(graphs))
+    options = {
+        "arithmetic": arithmetic,
+        "engine": engine,
+        "protocol": protocol,
+        "workers": workers,
+        "partitioner": partitioner,
+    }
     if engine == "shard" and workers != 1 and processes > 1:
         import warnings
 
@@ -405,13 +397,12 @@ def run_many(
             RuntimeWarning,
             stacklevel=2,
         )
-        workers = 1
+        options["workers"] = 1
     tasks = [
         (
             family,
             graph,
-            arithmetic,
-            engine,
+            options,
             collect_phases,
             (
                 os.path.join(
@@ -423,9 +414,6 @@ def run_many(
                 if stream_dir is not None
                 else None
             ),
-            protocol,
-            workers,
-            partitioner,
         )
         for index, graph in enumerate(graphs)
     ]

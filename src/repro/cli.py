@@ -8,6 +8,7 @@ Subcommands
 ``sample``    sampled (approximate) distributed betweenness
 ``schedule``  analytic BFS start / sending times (Figure 1 style tables)
 ``gadget``    build and verify a Section IX lower-bound gadget
+``trace``     traced run: message timeline and traffic by message type
 ``report``    instrumented run: phase table, invariant monitor verdicts,
               optional profile, JSONL metrics export, live streaming
               (``--progress``/``--stream-jsonl``), partial-log rendering
@@ -19,6 +20,7 @@ Subcommands
               crashes, and ``--hang``/``--slow`` worker-process faults)
 ``resume``    restart an interrupted supervised run from its newest
               round-boundary checkpoint (bit-identical continuation)
+``elect``     in-model leader election for the root u0
 ``info``      graph statistics
 
 ``trace diff`` compares two saved traces (or two engines on one graph)
@@ -27,7 +29,8 @@ field when payload words were captured (``trace --payloads``).
 
 Graphs are specified with ``--graph``: either a named generator
 (``karate``, ``figure1``, ``path:20``, ``cycle:16``, ``grid:4x5``,
-``er:30:0.2:7`` as name:args) or ``--file edgelist.txt``.
+``er:30:0.2:7`` as name:args) or ``--file edgelist.txt``.  The run
+commands share one set of run flags, read by :func:`_run_options`.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--arithmetic",
         default="lfloat",
-        help='"exact", "lfloat", or "lfloat-<L>" (default: lfloat)',
+        help='"exact", "lfloat", or "lfloat-<L>" (default: %(default)s)',
     )
     parser.add_argument("--root", type=int, default=0, help="BFS tree root u0")
     parser.add_argument(
@@ -190,17 +193,45 @@ def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _streaming_telemetry(args: argparse.Namespace):
-    """A live-streaming Telemetry when ``--progress``/``--stream-jsonl``
-    was given, else None (keeping the zero-cost no-telemetry path)."""
-    if not (getattr(args, "progress", False) or getattr(args, "stream_jsonl", None)):
+def _run_options(args: argparse.Namespace) -> dict:
+    """The :func:`~repro.core.distributed_betweenness` keywords set by
+    the shared run flags (:func:`_add_protocol_options`).
+
+    Every run command passes these and adds only its own extras
+    (tracer, telemetry, faults, transport, supervision); ``repro
+    resume`` passes them too, from the flags its checkpoint recorded.
+    """
+    return {
+        "arithmetic": args.arithmetic,
+        "root": args.root,
+        "strict": not args.lenient,
+        "engine": args.engine,
+        "workers": args.workers,
+        "partitioner": args.partitioner,
+        "frame_audit": args.frame_audit,
+        "protocol": args.protocol,
+    }
+
+
+def _telemetry(args: argparse.Namespace, **options):
+    """The run's Telemetry built with ``options`` (monitors, profile).
+
+    It streams live when ``--progress``/``--stream-jsonl`` was given.
+    Otherwise it is a plain Telemetry when ``options`` ask for one, and
+    None when they do not (keeping the zero-cost no-telemetry path).
+    """
+    streaming = args.progress or args.stream_jsonl
+    if not (streaming or options):
         return None
     from repro.obs import Telemetry
 
+    if not streaming:
+        return Telemetry(**options)
     return Telemetry.with_streaming(
         jsonl_path=args.stream_jsonl,
         progress=True,
         console=bool(args.progress),
+        **options,
     )
 
 
@@ -247,12 +278,26 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The flags a checkpoint's ``meta.cli`` recipe records as given, with
+#: the value each takes when a command (or a recipe) lacks it.
+_RECIPE_FLAGS = (
+    ("graph", None),
+    ("file", None),
+    ("protocol", None),
+    ("arithmetic", "lfloat"),
+    ("root", 0),
+    ("lenient", False),
+    ("workers", 1),
+    ("partitioner", "greedy"),
+)
+
+
 def _supervision_from_args(args: argparse.Namespace, plan=None):
     """A SupervisionConfig from CLI flags, or None when all are off.
 
     The returned config carries the command-line recipe in its manifest
     metadata so ``repro resume`` can rebuild the graph, protocol and
-    fault plan without re-asking.
+    fault plan without re-asking (see :func:`_args_from_recipe`).
     """
     every = getattr(args, "checkpoint_every", 0) or 0
     ckpt_dir = getattr(args, "checkpoint_dir", None)
@@ -269,20 +314,13 @@ def _supervision_from_args(args: argparse.Namespace, plan=None):
         SupervisionConfig,
     )
 
-    recipe = {
-        "graph": getattr(args, "graph", None),
-        "file": str(args.file) if getattr(args, "file", None) else None,
-        "protocol": getattr(args, "protocol", None),
-        "arithmetic": getattr(args, "arithmetic", None),
-        "root": getattr(args, "root", 0),
-        "lenient": bool(getattr(args, "lenient", False)),
-        "workers": getattr(args, "workers", 1),
-        "partitioner": getattr(args, "partitioner", "greedy"),
-        "resilient": not getattr(args, "raw", True),
-        "checkpoint_every": every,
-        "checkpoint_dir": ckpt_dir,
-        "plan": plan.to_dict() if plan is not None else None,
-    }
+    recipe = {key: getattr(args, key, default) for key, default in _RECIPE_FLAGS}
+    recipe.update(
+        resilient=not getattr(args, "raw", True),
+        checkpoint_every=every,
+        checkpoint_dir=ckpt_dir,
+        plan=plan.to_dict() if plan is not None else None,
+    )
     return SupervisionConfig(
         heartbeat_timeout=(
             timeout if timeout is not None else DEFAULT_HEARTBEAT_TIMEOUT
@@ -293,6 +331,25 @@ def _supervision_from_args(args: argparse.Namespace, plan=None):
         stop_after=stop_after,
         meta={"cli": recipe},
     )
+
+
+def _args_from_recipe(recipe: dict):
+    """The original command's flags and fault plan, rebuilt from the
+    ``meta.cli`` recipe :func:`_supervision_from_args` wrote.
+
+    Only shard runs checkpoint, so the engine is ``shard``; the frame
+    audit is off, as the recipe does not record it.
+    """
+    from repro.faults import FaultPlan
+
+    args = argparse.Namespace(engine="shard", frame_audit=False)
+    for key, default in _RECIPE_FLAGS:
+        value = recipe.get(key)
+        setattr(args, key, default if value is None else value)
+    args.raw = not recipe.get("resilient", False)
+    args.checkpoint_every = recipe.get("checkpoint_every") or 0
+    plan = FaultPlan.from_dict(recipe["plan"]) if recipe.get("plan") else None
+    return args, plan
 
 
 def _print_supervisor_summary(stats) -> None:
@@ -327,22 +384,15 @@ def cmd_bc(args: argparse.Namespace) -> int:
                 "directly)".format(args.protocol)
             )
         return _cmd_bc_weighted(args, graph)
-    telemetry = _streaming_telemetry(args)
+    telemetry = _telemetry(args)
     from repro.exceptions import CheckpointPause
 
     try:
         result = distributed_betweenness(
             graph,
-            arithmetic=args.arithmetic,
-            root=args.root,
-            strict=not args.lenient,
-            engine=args.engine,
-            workers=args.workers,
-            partitioner=args.partitioner,
-            frame_audit=args.frame_audit,
             telemetry=telemetry,
-            protocol=args.protocol,
             supervision=_supervision_from_args(args),
+            **_run_options(args),
         )
     except CheckpointPause as pause:
         print(
@@ -382,16 +432,11 @@ def _cmd_bc_weighted(args: argparse.Namespace, graph) -> int:
     from repro.centrality import weighted_brandes_betweenness
     from repro.core import distributed_weighted_betweenness
 
-    result = distributed_weighted_betweenness(
-        graph,
-        arithmetic=args.arithmetic,
-        root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
-    )
+    options = _run_options(args)
+    # The subdivision pipeline runs the stock protocol (cmd_bc refused
+    # any other --protocol), so it takes no protocol keyword.
+    del options["protocol"]
+    result = distributed_weighted_betweenness(graph, **options)
     ranked = sorted(
         graph.nodes(), key=lambda v: result.betweenness[v], reverse=True
     )
@@ -417,16 +462,7 @@ def _cmd_bc_weighted(args: argparse.Namespace, graph) -> int:
 
 def cmd_apsp(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    result = distributed_apsp(
-        graph,
-        root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
-        protocol=args.protocol,
-    )
+    result = distributed_apsp(graph, **_run_options(args))
     closeness = result.closeness()
     graph_c = result.graph_centrality()
     ecc = result.eccentricities()
@@ -443,16 +479,7 @@ def cmd_apsp(args: argparse.Namespace) -> int:
 
 def cmd_stress(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    result = distributed_stress(
-        graph,
-        arithmetic=args.arithmetic,
-        root=args.root,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
-        protocol=args.protocol,
-    )
+    result = distributed_stress(graph, **_run_options(args))
     ranked = sorted(graph.nodes(), key=lambda v: result.stress[v], reverse=True)
     print_table(
         ["node", "stress", "degree"],
@@ -467,16 +494,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     result = distributed_sampled_betweenness(
-        graph,
-        args.pivots,
-        seed=args.seed,
-        arithmetic=args.arithmetic,
-        root=args.root,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
-        protocol=args.protocol,
+        graph, args.pivots, seed=args.seed, **_run_options(args)
     )
     ranked = sorted(graph.nodes(), key=lambda v: result.estimate[v], reverse=True)
     print_table(
@@ -557,16 +575,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     tracer = Tracer(capture_payloads=args.payloads)
     result = distributed_betweenness(
-        graph,
-        arithmetic=args.arithmetic,
-        root=args.root,
-        strict=not args.lenient,
-        tracer=tracer,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
-        protocol=args.protocol,
+        graph, tracer=tracer, **_run_options(args)
     )
     print(
         "{} ({}): {} rounds, {} messages, {} bits\n".format(
@@ -621,52 +630,37 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
                 traces.append(Tracer.from_json(fh.read()))
         trace_a, trace_b = traces
         label_a, label_b = args.traces
-    elif args.protocols:
-        # Protocol-vs-protocol mode: same engine, two registered node
-        # algorithms — the forensic view of where a rival's traffic
-        # schedule departs from the stock one.
-        protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if len(protocols) != 2:
-            raise SystemExit(
-                "--protocols wants two comma-separated protocol names, "
-                "got {!r}".format(args.protocols)
-            )
-        graph = _load_graph(args)
-        traces = []
-        for protocol in protocols:
-            tracer = Tracer(capture_payloads=True)
-            distributed_betweenness(
-                graph,
-                arithmetic=args.arithmetic,
-                root=args.root,
-                tracer=tracer,
-                engine="event",
-                protocol=protocol,
-            )
-            traces.append(tracer)
-        trace_a, trace_b = traces
-        label_a, label_b = protocols
     else:
-        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-        if len(engines) != 2:
+        # Protocol-vs-protocol mode runs two registered node algorithms
+        # on the event engine — the forensic view of where a rival's
+        # traffic schedule departs from the stock one; engine mode runs
+        # the stock protocol on two engines.
+        if args.protocols:
+            flag, text, what = "--protocols", args.protocols, "protocol names"
+        else:
+            flag, text, what = "--engines", args.engines, "engines"
+        labels = [part.strip() for part in text.split(",") if part.strip()]
+        if len(labels) != 2:
             raise SystemExit(
-                "--engines wants two comma-separated engines, "
-                "got {!r}".format(args.engines)
+                "{} wants two comma-separated {}, got {!r}".format(
+                    flag, what, text
+                )
             )
         graph = _load_graph(args)
         traces = []
-        for engine in engines:
+        for label in labels:
             tracer = Tracer(capture_payloads=True)
             distributed_betweenness(
                 graph,
                 arithmetic=args.arithmetic,
                 root=args.root,
                 tracer=tracer,
-                engine=engine,
+                engine="event" if args.protocols else label,
+                protocol=label if args.protocols else None,
             )
             traces.append(tracer)
         trace_a, trace_b = traces
-        label_a, label_b = engines
+        label_a, label_b = labels
     report = diff_report(
         trace_a,
         trace_b,
@@ -779,7 +773,7 @@ def _report_from_rows(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import Telemetry, default_monitors
+    from repro.obs import default_monitors
 
     if args.from_path:
         return _report_from_rows(args)
@@ -789,34 +783,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.congest import Tracer
 
         tracer = Tracer()
-    if args.progress or args.stream_jsonl:
-        telemetry = Telemetry.with_streaming(
-            jsonl_path=args.stream_jsonl,
-            progress=True,
-            console=bool(args.progress),
-            monitors=default_monitors(args.monitor_mode),
-            profile=args.profile,
-        )
-    else:
-        telemetry = Telemetry(
-            monitors=default_monitors(args.monitor_mode),
-            profile=args.profile,
-        )
+    telemetry = _telemetry(
+        args,
+        monitors=default_monitors(args.monitor_mode),
+        profile=args.profile,
+    )
     from repro.exceptions import SimulationNotTerminatedError
 
     try:
         result = distributed_betweenness(
-            graph,
-            arithmetic=args.arithmetic,
-            root=args.root,
-            strict=not args.lenient,
-            tracer=tracer,
-            telemetry=telemetry,
-            engine=args.engine,
-            workers=args.workers,
-            partitioner=args.partitioner,
-            frame_audit=args.frame_audit,
-            protocol=args.protocol,
+            graph, tracer=tracer, telemetry=telemetry, **_run_options(args)
         )
     except SimulationNotTerminatedError as err:
         # The structured fields answer the first three questions a
@@ -1044,16 +1020,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("fault plan written to {}".format(args.plan_out))
     result = distributed_betweenness(
         graph,
-        arithmetic=args.arithmetic,
-        root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
         faults=plan,
         resilient=not args.raw,
-        protocol=args.protocol,
         supervision=_supervision_from_args(args, plan=plan),
+        **_run_options(args),
     )
     completeness = result.completeness
     fault_stats = getattr(result.stats, "faults", None)
@@ -1121,16 +1091,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 ]
                 against = "Brandes"
             else:
-                clean = distributed_betweenness(
-                    graph,
-                    arithmetic=args.arithmetic,
-                    root=args.root,
-                    strict=not args.lenient,
-                    engine=args.engine,
-                    workers=args.workers,
-                    partitioner=args.partitioner,
-                    protocol=args.protocol,
-                )
+                clean = distributed_betweenness(graph, **_run_options(args))
                 mismatched = [
                     v
                     for v in graph.nodes()
@@ -1155,7 +1116,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     """Resume a checkpointed shard run from its on-disk snapshot."""
     from pathlib import Path
 
-    from repro.faults import FaultPlan
     from repro.shard.checkpoint import read_manifest, resolve_checkpoint
     from repro.shard.supervisor import (
         DEFAULT_HEARTBEAT_TIMEOUT,
@@ -1171,18 +1131,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
             "Python API?); resume it with distributed_betweenness(..., "
             "engine='shard', resume_from=...) instead".format(ckpt)
         )
-    graph = _load_graph(
-        argparse.Namespace(
-            file=recipe.get("file"), graph=recipe.get("graph")
-        )
-    )
-    plan = (
-        FaultPlan.from_dict(recipe["plan"]) if recipe.get("plan") else None
-    )
+    original, plan = _args_from_recipe(recipe)
+    graph = _load_graph(original)
     # Keep writing into the same run directory (derived from the
     # snapshot's real location, not the possibly-relative recipe path)
     # so a resumed run stays checkpointed and restartable.
-    checkpoint_every = recipe.get("checkpoint_every", 0) or 0
     supervision = SupervisionConfig(
         heartbeat_timeout=(
             args.heartbeat_timeout
@@ -1190,25 +1143,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
             else DEFAULT_HEARTBEAT_TIMEOUT
         ),
         max_restarts=args.max_restarts,
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=original.checkpoint_every,
         checkpoint_dir=(
-            str(ckpt.parent.parent) if checkpoint_every else None
+            str(ckpt.parent.parent) if original.checkpoint_every else None
         ),
         resume_from=str(ckpt),
         meta={"cli": recipe},
     )
+    transport = {"faults": plan, "resilient": not original.raw}
     result = distributed_betweenness(
-        graph,
-        arithmetic=recipe.get("arithmetic") or "lfloat",
-        root=recipe.get("root", 0),
-        strict=not recipe.get("lenient", False),
-        engine="shard",
-        workers=recipe.get("workers", 1),
-        partitioner=recipe.get("partitioner", "greedy"),
-        protocol=recipe.get("protocol"),
-        faults=plan,
-        resilient=bool(recipe.get("resilient", False)),
-        supervision=supervision,
+        graph, supervision=supervision, **transport, **_run_options(original)
     )
     ranked = sorted(
         graph.nodes(), key=lambda v: result.betweenness[v], reverse=True
@@ -1233,15 +1177,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
         # The resume guarantee is differential and total: the resumed
         # run must equal an uninterrupted single-process run bit for
         # bit — same betweenness, same rounds, same wire totals.
+        original.engine = "event"
         fresh = distributed_betweenness(
-            graph,
-            arithmetic=recipe.get("arithmetic") or "lfloat",
-            root=recipe.get("root", 0),
-            strict=not recipe.get("lenient", False),
-            engine="event",
-            protocol=recipe.get("protocol"),
-            faults=plan,
-            resilient=bool(recipe.get("resilient", False)),
+            graph, **transport, **_run_options(original)
         )
         mismatches = []
         if result.betweenness != fresh.betweenness:
@@ -1588,7 +1526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apsp = sub.add_parser("apsp", help="counting phase: closeness etc.")
     _add_graph_options(p_apsp)
     _add_protocol_options(p_apsp)
-    p_apsp.set_defaults(func=cmd_apsp)
+    p_apsp.set_defaults(func=cmd_apsp, arithmetic="exact")
 
     p_stress = sub.add_parser("stress", help="distributed stress centrality")
     _add_graph_options(p_stress)

@@ -648,19 +648,23 @@ def distributed_apsp(
     strict: bool = True,
     congest_factor: int = DEFAULT_CONGEST_FACTOR,
     engine: str = "auto",
+    arithmetic: ModeSpec = "exact",
     **kwargs,
 ) -> DistributedAPSPResult:
     """Run Algorithm 2 alone (the Holzer–Wattenhofer-style APSP core).
 
     The aggregation phase is skipped: nodes terminate as soon as the
     completion broadcast reaches them, so the round count reflects the
-    counting phase plus O(D) control rounds.  Remaining keyword
-    arguments (``telemetry``, ``frame_audit``, ...) are forwarded to
-    :func:`distributed_betweenness`.
+    counting phase plus O(D) control rounds.  ``arithmetic`` carries
+    the sigma counts: distances come out the same in every mode, but
+    exact sigma values can exceed the CONGEST budget on graphs with
+    many shortest paths, where an L-float mode stays inside it.
+    Remaining keyword arguments (``telemetry``, ``frame_audit``, ...)
+    are forwarded to :func:`distributed_betweenness`.
     """
     result = distributed_betweenness(
         graph,
-        arithmetic="exact",
+        arithmetic=arithmetic,
         root=root,
         strict=strict,
         congest_factor=congest_factor,

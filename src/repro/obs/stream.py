@@ -259,11 +259,15 @@ class ProgressEstimator:
     def bind(self, simulator) -> None:
         """Called at run start: derive the schedule if worthwhile.
 
-        The bulk engine executes the whole run as one closed-form array
-        program — there is no round loop, so no heartbeat would ever
-        consume the schedule, and deriving it (an O(N·E) pure-Python
-        sweep) would tax exactly the engine chosen for speed.  Bulk
-        runs therefore skip straight to the terminal 100% row.
+        Sweep, event and shard runs tick through
+        :func:`repro.congest.kernel.drive_rounds` as their rounds run,
+        and the schedule turns those ticks into percentages.  Deriving it is an O(N·E)
+        pure-Python sweep that would tax exactly the engine chosen for
+        speed, so bulk runs get none.  The bulk fast path has no round
+        loop and skips straight to the terminal 100% row; a bulk run
+        that replays its sends (a tracer, a frame audit or a send or
+        round monitor) ticks through ``drive_rounds`` like sweep, with
+        heartbeat rows that carry the round but no percentage.
         """
         if (
             self.schedule is None

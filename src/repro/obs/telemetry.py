@@ -233,9 +233,12 @@ class Telemetry:
             monitor.on_round_end(round_number, edge_load)
 
     def on_round_tick(self, round_number: int) -> None:
-        """Lightweight per-round streaming hook (sweep/event engines).
+        """Lightweight per-round streaming hook.
 
-        Only called when :attr:`wants_ticks` is True.  Updates the
+        :func:`repro.congest.kernel.drive_rounds` calls it for each
+        round it runs (fast-forwarded idle rounds get none) on sweep,
+        event and shard runs and on a bulk run that replays its sends;
+        the bulk fast path has no round loop and never calls it.  Only called when :attr:`wants_ticks` is True.  Updates the
         progress estimator and publishes a throttled ``progress``
         heartbeat row; the throttle interval is derived from the
         schedule (~100 rows per run) so streaming cost stays flat in N.

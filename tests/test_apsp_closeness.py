@@ -29,6 +29,11 @@ class TestDistributedAPSP:
             for s in graph.nodes():
                 assert result.distances[v][s] == reference[s][v]
 
+    def test_lfloat_counts_give_the_exact_distances(self):
+        graph = karate_club_graph()
+        lfloat = distributed_apsp(graph, arithmetic="lfloat")
+        assert lfloat.distances == distributed_apsp(graph).distances
+
     def test_diameter(self):
         graph = grid_graph(4, 5)
         assert distributed_apsp(graph).diameter == diameter(graph)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main, parse_graph_spec
+from repro.faults import FaultPlan
 from repro.graphs import Graph, dumps_edge_list, karate_club_graph
 
 
@@ -105,8 +106,13 @@ class TestCommands:
              "cannot read /nonexistent/graph.edges: "),
             (("sample", "--graph", "path:5"),
              "got num_samples=8 with N=5"),
+            (("apsp", "--graph", "cycle:8", "--arithmetic", "bogus"),
+             "unknown arithmetic mode 'bogus'"),
         ],
-        ids=["lfloat-x", "bogus-arithmetic", "missing-file", "pivots-above-n"],
+        ids=[
+            "lfloat-x", "bogus-arithmetic", "missing-file", "pivots-above-n",
+            "apsp-bogus-arithmetic",
+        ],
     )
     def test_bad_input_reports_one_line_error(self, argv, reason, capsys):
         assert self.run(*argv) == 1
@@ -322,3 +328,121 @@ class TestChaosCommand:
         assert "did NOT terminate" in out
         assert "round limit" in out
         assert "[2, 5]" in out
+
+
+WEIGHTED_JSON = (
+    '{"nodes": 4, "weighted": true, '
+    '"edges": [[0, 1, 2], [1, 2, 1], [2, 3, 3], [0, 3, 5]]}'
+)
+
+
+class TestRunOptions:
+    """Every run command hands the shared run flags to the simulator."""
+
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bc", "--graph", "path:6"),
+            ("bc", "--file", "weighted.json"),
+            ("apsp", "--graph", "path:6"),
+            ("stress", "--graph", "path:6"),
+            ("sample", "--graph", "path:6", "--pivots", "3"),
+            ("trace", "--graph", "path:6"),
+            ("report", "--graph", "path:6"),
+            ("chaos", "--graph", "path:6"),
+        ],
+        ids=[
+            "bc", "weighted-bc", "apsp", "stress", "sample", "trace",
+            "report", "chaos",
+        ],
+    )
+    def test_lenient_reaches_the_simulator(
+        self, argv, lenient, tmp_path, monkeypatch, capsys
+    ):
+        import inspect
+
+        from repro.congest.simulator import Simulator
+
+        (tmp_path / "weighted.json").write_text(WEIGHTED_JSON)
+        monkeypatch.chdir(tmp_path)
+        init = Simulator.__init__
+        signature = inspect.signature(init)
+        seen = []
+
+        def spy(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["strict"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "__init__", spy)
+        assert main(list(argv) + (["--lenient"] if lenient else [])) == 0
+        capsys.readouterr()
+        assert seen and set(seen) == {not lenient}
+
+
+class TestResumeCommand:
+    """A paused checkpointing run resumes from its ``meta.cli`` recipe."""
+
+    RUN = (
+        "--graph", "cycle:16", "--engine", "shard", "--workers", "2",
+        "--checkpoint-every", "10", "--checkpoint-stop-after", "10",
+    )
+
+    @pytest.mark.parametrize(
+        "argv, paused_exit, recipe",
+        [
+            (
+                ("bc", "--partitioner", "block", "--lenient",
+                 "--arithmetic", "lfloat-12"),
+                3,
+                {
+                    "protocol": "hua-bc",
+                    "arithmetic": "lfloat-12",
+                    "lenient": True,
+                    "partitioner": "block",
+                    "resilient": False,
+                    "plan": None,
+                },
+            ),
+            (
+                # chaos reports the pause as an error (exit 1), where bc
+                # maps it to exit 3.
+                ("chaos", "--drop", "0.05"),
+                1,
+                {
+                    "protocol": "hua-bc",
+                    "arithmetic": "lfloat",
+                    "lenient": False,
+                    "partitioner": "greedy",
+                    "resilient": True,
+                    "plan": FaultPlan(drop_rate=0.05).to_dict(),
+                },
+            ),
+        ],
+        ids=["bc", "chaos"],
+    )
+    def test_pause_then_resume_check(
+        self, argv, paused_exit, recipe, tmp_path, capsys
+    ):
+        from repro.shard.checkpoint import read_manifest, resolve_checkpoint
+
+        ckpt = tmp_path / "ckpt"
+        run = list(argv[:1] + self.RUN + argv[1:])
+        assert main(run + ["--checkpoint-dir", str(ckpt)]) == paused_exit
+        captured = capsys.readouterr()
+        assert "paused at round 10" in captured.out + captured.err
+        expected = dict(
+            recipe,
+            graph="cycle:16",
+            file=None,
+            root=0,
+            workers=2,
+            checkpoint_every=10,
+            checkpoint_dir=str(ckpt),
+        )
+        manifest = read_manifest(resolve_checkpoint(ckpt))
+        assert manifest["meta"]["cli"] == expected
+        assert main(["resume", str(ckpt), "--check"]) == 0
+        assert "check OK" in capsys.readouterr().out
