@@ -11,7 +11,9 @@ across several seeds on both engines, and fails unless
   completeness report naming the crashed node and a partial
   betweenness that matches a Brandes restricted to the surviving
   sources, and sweep, event and a two-worker shard run stall at the
-  same round with the same complete sources and partial values.
+  same round with the same complete sources, partial values and
+  engine-independent fault counters; event and shard also agree on
+  ``crash_rounds``.
 
 Usage::
 
@@ -134,6 +136,7 @@ def main() -> int:
     # the same on every engine.
     fig = figure1_graph()
     stalls = {}
+    crash_rounds = {}
     for engine, workers in STALL_ENGINES:
         partial = distributed_betweenness(
             fig,
@@ -162,13 +165,22 @@ def main() -> int:
         stalls["{} W={}".format(engine, workers)] = (
             report.stalled_round,
             report.complete_sources,
-            sorted(partial.betweenness_exact.items()),
+            _comparable(partial),
         )
+        crash_rounds[engine] = partial.stats.faults.crash_rounds
     if len(set(map(repr, stalls.values()))) > 1:
         failures.append(
-            "permanent crash: engines stall differently (stalled round "
-            "{})".format(
+            "permanent crash: engines disagree on the stalled run "
+            "(stalled round {})".format(
                 {name: stall[0] for name, stall in stalls.items()}
+            )
+        )
+    # Sweep steps every node every round, so only the wake-driven
+    # engines count the same crashed node-rounds.
+    if crash_rounds.get("event") != crash_rounds.get("shard"):
+        failures.append(
+            "permanent crash: crash_rounds {} on event, {} on shard".format(
+                crash_rounds.get("event"), crash_rounds.get("shard")
             )
         )
 

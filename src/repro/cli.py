@@ -49,7 +49,7 @@ from repro.core import (
     distributed_stress,
     sending_times,
 )
-from repro.exceptions import GraphError, ReproError
+from repro.exceptions import CheckpointPause, GraphError, ReproError
 from repro.graphs import (
     Graph,
     balanced_tree,
@@ -385,22 +385,12 @@ def cmd_bc(args: argparse.Namespace) -> int:
             )
         return _cmd_bc_weighted(args, graph)
     telemetry = _telemetry(args)
-    from repro.exceptions import CheckpointPause
-
-    try:
-        result = distributed_betweenness(
-            graph,
-            telemetry=telemetry,
-            supervision=_supervision_from_args(args),
-            **_run_options(args),
-        )
-    except CheckpointPause as pause:
-        print(
-            "run paused at round {}; resume with: repro resume {}".format(
-                pause.round_number, pause.checkpoint_path
-            )
-        )
-        return 3
+    result = distributed_betweenness(
+        graph,
+        telemetry=telemetry,
+        supervision=_supervision_from_args(args),
+        **_run_options(args),
+    )
     if telemetry is not None and telemetry.bus is not None:
         telemetry.bus.close()
     ranked = sorted(
@@ -1864,6 +1854,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CheckpointPause as pause:
+        print(
+            "run paused at round {}; resume with: repro resume {}".format(
+                pause.round_number, pause.checkpoint_path
+            )
+        )
+        return 3
     except ReproError as err:
         print("error: {}".format(err), file=sys.stderr)
         return 1

@@ -144,7 +144,9 @@ class Simulator:
         outside the 4-bit tag registry.)
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` or pre-built
-        :class:`~repro.faults.injector.FaultInjector`.  When given,
+        :class:`~repro.faults.injector.FaultInjector` (given no tracer,
+        it takes the run's); anything else raises
+        :class:`~repro.exceptions.SimulatorConfigError`.  When given,
         every send is routed through the injector's delivery pipeline
         (drop / duplicate / delay / corrupt / link-down), nodes inside
         crash windows are skipped instead of stepped, and a per-round
@@ -252,17 +254,15 @@ class Simulator:
             node_factory(v, graph.neighbors(v)) for v in graph.nodes()
         ]
         self.frame_audit = frame_audit
-        # Fault injection (None = zero-cost fast path).  A bare
-        # FaultPlan is wrapped in a fresh injector here; the import is
+        # Fault injection (None = zero-cost fast path).  The import is
         # lazy so repro.congest keeps no hard dependency on repro.faults.
-        if faults is not None and not hasattr(faults, "deliveries"):
-            from repro.faults.injector import FaultInjector
-
-            faults = FaultInjector(faults, tracer=tracer)
-        self.faults = faults
         if faults is not None:
+            from repro.faults.injector import as_injector
+
+            faults = as_injector(faults, tracer=tracer)
             faults.bind(self)
             self.stats.faults = faults.stats
+        self.faults = faults
         # The registered protocol this run executes: an explicit name /
         # descriptor, or inferred from the node class the factory built
         # (transport wrappers expose the protocol node as ``.inner``).

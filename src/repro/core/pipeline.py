@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.arithmetic.context import (
     ArithmeticContext,
@@ -258,14 +258,15 @@ def distributed_betweenness(
         unregistered in the 4-bit tag space).
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or pre-built
-        :class:`~repro.faults.injector.FaultInjector`) subjecting the
-        run to message drop/duplication/delay/corruption, crash windows
-        and link outages.  ``None`` (the default) is a zero-cost fast
-        path producing output bit-identical to a faultless build.  A
-        run the stall detector cuts short returns a **partial** result:
-        betweenness restricted to the sources named complete in
-        ``result.completeness`` (exact for that subset) instead of
-        raising.
+        :class:`~repro.faults.injector.FaultInjector`; anything else
+        raises :class:`~repro.exceptions.SimulatorConfigError`)
+        subjecting the run to message drop/duplication/delay/corruption,
+        crash windows and link outages.  ``None`` (the default) is a
+        zero-cost fast path producing output bit-identical to a
+        faultless build.  A run the stall detector cuts short returns
+        a **partial** result: betweenness restricted to the sources
+        named complete in ``result.completeness`` (exact for that
+        subset) instead of raising.
     resilient:
         Run every node behind the ack/retransmit transport
         (:class:`~repro.faults.transport.ResilientNode`).  Under any
@@ -279,8 +280,8 @@ def distributed_betweenness(
         :class:`~repro.protocols.Protocol` descriptor) to run:
         ``"hua-bc"`` (the paper's Algorithms 2–3, the default) or any
         rival registered in :mod:`repro.protocols` (e.g. ``"cfp-bc"``).
-        The descriptor supplies the node factory, the engine capability
-        flags and the result extractor; the chosen name is recorded in
+        The descriptor supplies the node factory and the engine
+        capability flags; the chosen name is recorded in
         ``result.protocol``.
     workers:
         Worker-process count for ``engine="shard"`` — the node set is
@@ -342,18 +343,10 @@ def distributed_betweenness(
         )
     ctx = make_context(arithmetic, graph.num_nodes)
     config = config or ProtocolConfig()
-    injector = None
     if faults is not None:
-        from repro.faults.injector import FaultInjector
+        from repro.faults.injector import as_injector
 
-        if hasattr(faults, "deliveries"):
-            injector = faults
-            if injector.arith is None:
-                injector.arith = ctx
-            if injector.tracer is None:
-                injector.tracer = tracer
-        else:
-            injector = FaultInjector(faults, arith=ctx, tracer=tracer)
+        faults = as_injector(faults, arith=ctx, tracer=tracer)
     from repro.protocols import get_protocol
 
     proto = get_protocol(protocol)
@@ -384,7 +377,7 @@ def distributed_betweenness(
         telemetry=telemetry,
         engine=engine,
         frame_audit=frame_audit,
-        faults=injector,
+        faults=faults,
         protocol=proto,
         workers=workers,
         partitioner=partitioner,
@@ -402,10 +395,7 @@ def distributed_betweenness(
             telemetry.finalize_run(result)
         return result
     nodes = _protocol_nodes(simulator, resilient, proto.node_class)
-    if proto.extract is not None:
-        result = proto.extract(simulator, graph, ctx, root)
-    else:
-        result = _collect(graph, nodes, stats, ctx, root, protocol=proto.name)
+    result = _collect(graph, nodes, stats, ctx, root, protocol=proto.name)
     if telemetry is not None:
         telemetry.finalize_run(result)
     return result
@@ -525,6 +515,26 @@ def _collect(
     )
 
 
+def complete_sources(
+    sources: Iterable[int], sent_by_node: Dict[int, frozenset]
+) -> List[int]:
+    """The ``sources`` (in their order) every other node sent for.
+
+    ``sent_by_node`` maps each node id to the sources it executed its
+    scheduled aggregation send for (``sent_sources()``); a source is
+    complete when every node but itself did.
+    """
+    return [
+        source
+        for source in sources
+        if all(
+            source in sent
+            for owner, sent in sent_by_node.items()
+            if owner != source
+        )
+    ]
+
+
 def _collect_partial(
     graph: Graph,
     nodes: List[BetweennessNode],
@@ -552,16 +562,9 @@ def _collect_partial(
         for node in nodes
         if node.config.is_source(node.node_id)
     )
-    sent_by_node = {node.node_id: node.sent_sources() for node in nodes}
-    complete = [
-        source
-        for source in expected
-        if all(
-            source in sent
-            for owner, sent in sent_by_node.items()
-            if owner != source
-        )
-    ]
+    complete = complete_sources(
+        expected, {node.node_id: node.sent_sources() for node in nodes}
+    )
     complete_set = frozenset(complete)
     betweenness: Dict[int, float] = {}
     betweenness_exact: Optional[Dict[int, Fraction]] = {} if exact else None

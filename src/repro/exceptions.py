@@ -255,7 +255,7 @@ class CheckpointPause(CongestError):
     Raised by the shard coordinator when ``SupervisionConfig.stop_after``
     is set, *after* the round-``stop_after`` checkpoint is durably on
     disk.  Test harnesses and the CLI catch it to simulate "the process
-    died here" without an actual SIGKILL; ``repro bc`` converts it into
+    died here" without an actual SIGKILL; the CLI converts it into
     exit code 3 and prints the checkpoint path to resume from.
 
     Attributes

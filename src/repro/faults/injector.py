@@ -32,6 +32,15 @@ rounds, same per-edge order), the injected faults are identical under
 ``engine="sweep"`` and ``engine="event"``, which is what makes fault
 runs differentially testable at all.
 
+State
+-----
+The per-run state (counters, recovery spans, per-edge message indices,
+first-crash rounds, last progress round) is plain data:
+:meth:`FaultInjector.snapshot` returns it, :meth:`FaultInjector.restore`
+puts it back (a checkpoint resume replays the same decisions) and
+:meth:`FaultInjector.absorb` adds another copy's counters (a shard
+worker that ran on its own copy of the injector).
+
 Corruption
 ----------
 Bit-flip corruption is realized *physically* where possible: the
@@ -50,38 +59,34 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import WireCodecError
+from repro.exceptions import SimulatorConfigError, WireCodecError
 from repro.faults.plan import FaultPlan
 from repro.wire import Message
 
 #: 2**64 as a float divisor for hash -> unit-interval mapping.
 _UNIT_SCALE = float(1 << 64)
 
+#: The additive FaultStats counters, in snapshot order.
+_COUNTERS = (
+    "dropped",
+    "duplicated",
+    "delayed",
+    "corrupted_detected",
+    "corrupted_undetected",
+    "crash_dropped",
+    "link_dropped",
+    "crash_rounds",
+)
+
 
 class FaultStats:
     """Counters for every injected fault (attached to SimulationStats)."""
 
-    __slots__ = (
-        "dropped",
-        "duplicated",
-        "delayed",
-        "corrupted_detected",
-        "corrupted_undetected",
-        "crash_dropped",
-        "link_dropped",
-        "crash_rounds",
-        "recoveries",
-    )
+    __slots__ = _COUNTERS + ("recoveries",)
 
     def __init__(self):
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-        self.corrupted_detected = 0
-        self.corrupted_undetected = 0
-        self.crash_dropped = 0
-        self.link_dropped = 0
-        self.crash_rounds = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         #: (node, crash start, first alive round) per finite crash window.
         self.recoveries: List[Tuple[int, int, int]] = []
 
@@ -119,7 +124,7 @@ class FaultInjector:
     """Realizes one :class:`FaultPlan` against one simulation run.
 
     One injector observes one run — build a fresh one per run (it holds
-    per-run progress and sequence state).
+    per-run progress and sequence state; see :meth:`snapshot`).
 
     Parameters
     ----------
@@ -170,6 +175,55 @@ class FaultInjector:
     def bind(self, simulator) -> None:
         """Attach per-run context; called by ``Simulator.__init__``."""
         self._wire = simulator.wire
+
+    # ------------------------------------------------------------------
+    # state: checkpoints and multi-process runs
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Dict[str, Any]:
+        """The injector's run state as plain data.
+
+        Counters, recovery spans, per-edge message indices, first-crash
+        rounds and the last progress round.  Every decision is a keyed
+        hash of the plan and these indices, so an injector given this
+        state by :meth:`restore` makes exactly the decisions the
+        original would have made from here on.
+        """
+        stats = self.stats
+        return {
+            "counters": {name: getattr(stats, name) for name in _COUNTERS},
+            "recoveries": list(stats.recoveries),
+            "edge_seq": dict(self._edge_seq),
+            "seen_crashed": dict(self._seen_crashed),
+            "last_progress": self.last_progress_round,
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Replace this injector's run state with a :meth:`snapshot`."""
+        stats = self.stats
+        for name, value in state["counters"].items():
+            setattr(stats, name, value)
+        stats.recoveries[:] = [tuple(entry) for entry in state["recoveries"]]
+        self._edge_seq = dict(state["edge_seq"])
+        self._seen_crashed = dict(state["seen_crashed"])
+        self.last_progress_round = state["last_progress"]
+
+    def absorb(self, state: Dict[str, Any]) -> None:
+        """Add the counters of another copy of this injector.
+
+        ``state`` is a :meth:`snapshot` of an injector that observed a
+        disjoint set of senders and nodes (a shard worker's copy); its
+        counters and recovery spans add to this one's, and a node's
+        first-crash round is the earlier of the two.  Message indices
+        and the progress round stay this injector's own.
+        """
+        stats = self.stats
+        for name, value in state["counters"].items():
+            setattr(stats, name, getattr(stats, name) + value)
+        stats.recoveries.extend(tuple(entry) for entry in state["recoveries"])
+        seen = self._seen_crashed
+        for node_id, first in state["seen_crashed"].items():
+            if node_id not in seen or first < seen[node_id]:
+                seen[node_id] = first
 
     # ------------------------------------------------------------------
     # deterministic decisions
@@ -438,3 +492,25 @@ class FaultInjector:
         return "FaultInjector(plan={!r}, stats={!r})".format(
             self.plan, self.stats
         )
+
+
+def as_injector(faults, arith=None, tracer=None) -> FaultInjector:
+    """The run's injector for a ``faults=`` argument.
+
+    A :class:`FaultPlan` gets a fresh injector; a given
+    :class:`FaultInjector` is used as is, with ``arith`` and ``tracer``
+    filling in whichever of its own is None.  Anything else raises
+    :class:`SimulatorConfigError`.
+    """
+    if isinstance(faults, FaultPlan):
+        return FaultInjector(faults, arith=arith, tracer=tracer)
+    if not isinstance(faults, FaultInjector):
+        raise SimulatorConfigError(
+            "faults must be a FaultPlan or a FaultInjector, got "
+            "{!r}".format(faults)
+        )
+    if faults.arith is None:
+        faults.arith = arith
+    if faults.tracer is None:
+        faults.tracer = tracer
+    return faults

@@ -7,15 +7,15 @@ internals, the pipeline and CLI instantiated it directly.  A
 :class:`Protocol` makes that coupling explicit and replaceable: one
 frozen descriptor bundles the node factory, the node class the runtime
 layers may probe for, the wire-message set, the capability flags the
-engine dispatcher and the fault layer consult, the closed-form
-round-schedule hook the progress estimator uses, and the result
-extractor the pipeline calls after the run.
+engine dispatcher and the fault layer consult, and the closed-form
+round-schedule hook the progress estimator uses.
 
 The contract each layer honors:
 
 * **Simulator / pipeline** build nodes exclusively through
-  :meth:`Protocol.build_factory` and read results through
-  :meth:`Protocol.extract`.
+  :meth:`Protocol.build_factory` and read results from the
+  ``betweenness_raw`` / ``diameter`` / ``ledger`` surface of
+  :attr:`Protocol.node_class`.
 * **Engine dispatcher** never sends a protocol to the bulk engine
   unless :attr:`Protocol.bulk_capable` says the closed-form array
   program reproduces it; ``engine="auto"`` falls back to the event
@@ -67,11 +67,6 @@ class Protocol:
     #: None when no closed form exists (the estimator then runs without
     #: a total).
     schedule: Optional[Callable] = None
-    #: Result extractor: ``(simulator, graph, arith, root) -> result``,
-    #: or None to use the pipeline's standard collector (which reads
-    #: the ``betweenness_raw`` / ``diameter`` / ``ledger`` surface of
-    #: :attr:`node_class`).
-    extract: Optional[Callable] = None
     #: Free-form notes rendered in docs (arena findings, caveats).
     notes: str = field(default="", compare=False)
 

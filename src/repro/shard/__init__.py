@@ -31,6 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "CHECKPOINT_SCHEMA",
         "list_checkpoints",
         "load_checkpoint",
+        "read_checkpoint",
         "read_manifest",
         "resolve_checkpoint",
         "write_checkpoint",

@@ -5,10 +5,10 @@ deferred inbox, in the worker's local future heap, or coordinator-side
 as already-encoded cross-shard wire frames.  That makes a shard's state
 a finite, picklable value — node objects (array-backed ``NodeLedger``
 columns and all protocol fields), the event-engine wake structures, and
-the fault injector's cursor (pure counters, thanks to the keyed-hash
+the fault injector's snapshot (pure counters, thanks to the keyed-hash
 fault replay).  This module only moves bytes: the coordinator collects
 one blob per shard plus its own merge state and this module lays them
-out on disk; restoring is the exact inverse.
+out on disk; :func:`read_checkpoint` is the exact inverse.
 
 Layout (content-addressed by the run key of ``repro.obs.history``, so
 two different runs can share one checkpoint root without colliding)::
@@ -48,6 +48,11 @@ CHECKPOINT_SCHEMA = "repro-ckpt-v1"
 KEEP_CHECKPOINTS = 2
 
 _MANIFEST = "manifest.json"
+_COORDINATOR = "coordinator.bin"
+
+
+def _shard_file(shard: int) -> str:
+    return "shard-{}.bin".format(shard)
 
 
 def _file_checksum(data: bytes) -> str:
@@ -76,11 +81,10 @@ def write_checkpoint(
     ckpt.mkdir(parents=True, exist_ok=True)
     files = {}
     total = 0
-    payloads = dict(
-        ("shard-{}.bin".format(shard), blob)
-        for shard, blob in shard_blobs.items()
-    )
-    payloads["coordinator.bin"] = coordinator_blob
+    payloads = {
+        _shard_file(shard): blob for shard, blob in shard_blobs.items()
+    }
+    payloads[_COORDINATOR] = coordinator_blob
     for name in sorted(payloads):
         data = payloads[name]
         (ckpt / name).write_bytes(data)
@@ -98,6 +102,34 @@ def write_checkpoint(
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(str(tmp), str(ckpt / _MANIFEST))
     return ckpt
+
+
+def read_checkpoint(ckpt_dir: Path) -> Dict[str, Any]:
+    """Inverse of :func:`write_checkpoint`, checksums verified.
+
+    Returns ``{"round", "shards", "coordinator", "manifest"}``:
+    the snapshot's round, its shard blobs by shard id, the coordinator
+    blob and the parsed manifest.  Raises :class:`CheckpointError` like
+    :func:`load_checkpoint`, and when a listed file is missing from the
+    manifest.
+    """
+    manifest, files = load_checkpoint(ckpt_dir)
+    try:
+        shards = {
+            int(shard): files[_shard_file(shard)]
+            for shard in manifest["shards"]
+        }
+        coordinator = files[_COORDINATOR]
+    except KeyError as err:
+        raise CheckpointError(
+            "checkpoint {} manifest lists no file {}".format(ckpt_dir, err)
+        )
+    return {
+        "round": manifest["round"],
+        "shards": shards,
+        "coordinator": coordinator,
+        "manifest": manifest,
+    }
 
 
 def read_manifest(ckpt_dir: Path) -> Dict[str, Any]:

@@ -37,7 +37,7 @@ a polling watchdog that tells *dead* (pipe EOF / process gone) from
 global rollback — kill every child, restore the newest round-boundary
 checkpoint (:mod:`repro.shard.checkpoint`), re-fork, replay.  Because
 a snapshot is taken at a barrier (every in-flight message is explicit
-state) and fault decisions are keyed hashes (the injector cursor is
+state) and fault decisions are keyed hashes (the injector's snapshot is
 pure state), the replayed rounds are bit-identical, so supervision and
 resume never show up in any protocol output.  See
 ``docs/recovery.md``.
@@ -64,21 +64,14 @@ from repro.exceptions import (
 from repro.shard.checkpoint import (
     corrupt_checkpoint,
     list_checkpoints,
-    load_checkpoint,
     prune_checkpoints,
+    read_checkpoint,
     resolve_checkpoint,
     write_checkpoint,
 )
 from repro.shard.frames import decode_shard_frame, encode_shard_frame
 from repro.shard.partition import edge_cut, partition_nodes
 from repro.shard.supervisor import WorkerFailure, supervision_for
-
-#: FaultStats counters a worker ships (and a checkpoint snapshots).
-_FAULT_COUNTERS = (
-    "dropped", "duplicated", "delayed",
-    "corrupted_detected", "corrupted_undetected",
-    "crash_dropped", "link_dropped", "crash_rounds",
-)
 
 
 def _unwrap(node):
@@ -271,23 +264,14 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # run-end extraction
     # ------------------------------------------------------------------
-    def _fault_payload(self):
+    def _fault_state(self) -> Optional[Dict[str, Any]]:
         faults = self.sim.faults
-        if faults is None:
-            return None
-        stats = faults.stats
-        return {
-            "counters": {
-                name: getattr(stats, name) for name in _FAULT_COUNTERS
-            },
-            "recoveries": list(stats.recoveries),
-            "seen_crashed": dict(faults._seen_crashed),
-        }
+        return faults.snapshot() if faults is not None else None
 
     def _common_reply(self) -> Dict[str, Any]:
         nodes = self.sim.nodes
         return {
-            "faults": self._fault_payload(),
+            "faults": self._fault_state(),
             "cross_messages": self.kernel.cross_messages,
             "cross_bits": self.kernel.cross_bits,
             "ledger_words": _ledger_words(nodes[v] for v in self.members),
@@ -349,24 +333,6 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # checkpoint snapshot / restore (barrier-quiescent state only)
     # ------------------------------------------------------------------
-    def _fault_cursor(self) -> Optional[Dict[str, Any]]:
-        """The injector's replay cursor: counters plus per-edge sequence
-        numbers.  Pure state — restoring it replays the exact same
-        keyed-hash fault decisions the original run would have made."""
-        faults = self.sim.faults
-        if faults is None:
-            return None
-        stats = faults.stats
-        return {
-            "counters": {
-                name: getattr(stats, name) for name in _FAULT_COUNTERS
-            },
-            "recoveries": list(stats.recoveries),
-            "edge_seq": dict(faults._edge_seq),
-            "seen_crashed": dict(faults._seen_crashed),
-            "last_progress": faults.last_progress_round,
-        }
-
     def snapshot_blob(self) -> bytes:
         """Pickle this shard's complete state at a round barrier.
 
@@ -397,7 +363,7 @@ class _ShardWorker:
                 "nodes": {v: sim.nodes[v] for v in self.members},
                 "telemetry_nodes": telemetry_nodes,
                 **self.kernel.snapshot(),
-                "faults": self._fault_cursor(),
+                "faults": self._fault_state(),
             }
             return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         finally:
@@ -408,9 +374,8 @@ class _ShardWorker:
         """Inverse of :meth:`snapshot_blob` (from the unpickled dict).
 
         The kernel's round state is replaced wholesale by this shard's
-        snapshot, and the fault cursor is written into the inherited
-        injector so shard 0's live counters and a child's copy never
-        mix.
+        snapshot, and so is the inherited injector's state, so shard 0's
+        live counters and a child's copy never mix.
         """
         sim = self.sim
         for v, node in state["nodes"].items():
@@ -420,20 +385,8 @@ class _ShardWorker:
             obj = node if which == "outer" else _unwrap(node)
             obj.telemetry = sim.telemetry
         self.kernel.restore(state)
-        cursor = state["faults"]
-        faults = sim.faults
-        if faults is not None and cursor is not None:
-            stats = faults.stats
-            for name, value in cursor["counters"].items():
-                setattr(stats, name, value)
-            stats.recoveries[:] = [
-                tuple(entry) for entry in cursor["recoveries"]
-            ]
-            faults._edge_seq.clear()
-            faults._edge_seq.update(cursor["edge_seq"])
-            faults._seen_crashed.clear()
-            faults._seen_crashed.update(cursor["seen_crashed"])
-            faults.last_progress_round = cursor["last_progress"]
+        if sim.faults is not None and state["faults"] is not None:
+            sim.faults.restore(state["faults"])
 
 
 def _child_main(
@@ -538,9 +491,7 @@ class _Coordinator:
         self.last_progress = 0
         # Dead-shard handover state.
         self.residue: List[Tuple[int, int]] = []  # heap of (round, node)
-        self.dead_seen: Set[int] = set()
         self.dead_payloads: Dict[int, Dict[str, Any]] = {}
-        self.merged_fault_payloads: List[Dict[str, Any]] = []
         self.cross_messages = 0
         self.cross_bits = 0
         self.ledger_words = [0] * self.n_shards
@@ -610,13 +561,9 @@ class _Coordinator:
         state = None
         if sup is not None and sup.resume_from is not None:
             state = self._load_resume_state(sup.resume_from)
-            self._restore_coordinator_state(
-                pickle.loads(state["coordinator"])
-            )
-            self.worker0.restore_state(pickle.loads(state["shards"][0]))
+            self._restore_from_state(state)
             self.start_round = state["round"]
             self.resumed_from = state["round"]
-            self._last_ckpt_round = state["round"]
         self._spawn_children(state)
         if sup is not None:
             # The in-memory rollback floor: the resume snapshot itself,
@@ -658,23 +605,13 @@ class _Coordinator:
             self.children.append((shard, parent_conn, proc))
             self.heartbeats[shard] = heartbeat
 
-    def _kill_children(self) -> None:
-        """Tear the worker pool down hard (rollback path: no goodbyes)."""
-        for _shard, conn, _proc in self.children:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for _shard, _conn, proc in self.children:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=self._join_timeout)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=self._join_timeout)
-        self.children = []
-
     def shutdown(self, notify: bool = True) -> None:
+        """Stop every child and forget it.
+
+        ``notify`` tells each live child to exit and grants it a join
+        grace first; without it (the rollback path) the pool is torn
+        down at once, so a rollback never waits out the grace.
+        """
         for shard, conn, proc in self.children:
             if notify and self.alive[shard]:
                 try:
@@ -686,7 +623,8 @@ class _Coordinator:
             except OSError:
                 pass
         for _shard, _conn, proc in self.children:
-            proc.join(timeout=self._join_timeout)
+            if notify:
+                proc.join(timeout=self._join_timeout)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=self._join_timeout)
@@ -695,6 +633,7 @@ class _Coordinator:
                 # SIGKILL cannot.  Nothing may outlive the coordinator.
                 proc.kill()
                 proc.join(timeout=self._join_timeout)
+        self.children = []
 
     # ------------------------------------------------------------------
     # checkpoint plumbing
@@ -741,9 +680,7 @@ class _Coordinator:
             "fresh_next": self.fresh_next,
             "last_progress": self.last_progress,
             "residue": list(self.residue),
-            "dead_seen": set(self.dead_seen),
             "dead_payloads": dict(self.dead_payloads),
-            "merged_fault_payloads": list(self.merged_fault_payloads),
             "infra_dead": set(self.infra_dead),
             "cross_messages": self.cross_messages,
             "cross_bits": self.cross_bits,
@@ -762,9 +699,7 @@ class _Coordinator:
         self.fresh_next = snap["fresh_next"]
         self.last_progress = snap["last_progress"]
         self.residue = list(snap["residue"])
-        self.dead_seen = set(snap["dead_seen"])
         self.dead_payloads = dict(snap["dead_payloads"])
-        self.merged_fault_payloads = list(snap["merged_fault_payloads"])
         self.infra_dead = set(snap.get("infra_dead", ()))
         self.cross_messages = snap["cross_messages"]
         self.cross_bits = snap["cross_bits"]
@@ -806,17 +741,9 @@ class _Coordinator:
         """Snapshot every shard at the current barrier and commit it."""
         sup = self.supervision
         started = time.perf_counter()
-        for shard, conn, _proc in self.children:
-            if self.alive[shard]:
-                conn.send(("checkpoint",))
-        blobs = {0: self.worker0.snapshot_blob()}
-        for shard, conn, proc in self.children:
-            if self.alive[shard]:
-                reply = self._recv(shard, conn, proc, round_number)
-                if isinstance(reply, dict) and "error" in reply:
-                    self.shutdown()
-                    raise reply["error"]
-                blobs[shard] = reply
+        blobs = self._broadcast_collect(
+            ("checkpoint",), round_number, local=self.worker0.snapshot_blob
+        )
         coord = pickle.dumps(
             self._coordinator_state(round_number),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -842,8 +769,8 @@ class _Coordinator:
 
     def _load_resume_state(self, path) -> Dict[str, Any]:
         ckpt = resolve_checkpoint(Path(path))
-        manifest, files = load_checkpoint(ckpt)
-        meta = manifest.get("meta", {})
+        state = read_checkpoint(ckpt)
+        meta = state["manifest"].get("meta", {})
         mismatches = []
         for key, ours in (
             ("graph", self._graph_hash),
@@ -865,16 +792,7 @@ class _Coordinator:
                     ckpt, "; ".join(mismatches)
                 )
             )
-        shards = {
-            int(shard): files["shard-{}.bin".format(shard)]
-            for shard in manifest["shards"]
-        }
-        return {
-            "round": manifest["round"],
-            "shards": shards,
-            "coordinator": files["coordinator.bin"],
-            "path": ckpt,
-        }
+        return state
 
     def _load_rollback_state(self) -> Dict[str, Any]:
         """Newest loadable snapshot: disk checkpoints newest-first (a
@@ -883,22 +801,20 @@ class _Coordinator:
         if self._ckpt_run_dir is not None:
             for ckpt in reversed(list_checkpoints(self._ckpt_run_dir)):
                 try:
-                    manifest, files = load_checkpoint(ckpt)
+                    return read_checkpoint(ckpt)
                 except CheckpointError:
                     continue
-                return {
-                    "round": manifest["round"],
-                    "shards": {
-                        int(s): files["shard-{}.bin".format(s)]
-                        for s in manifest["shards"]
-                    },
-                    "coordinator": files["coordinator.bin"],
-                }
         return self._fallback_state
 
     def _restore_from_state(self, state: Dict[str, Any]) -> None:
-        self._restore_coordinator_state(pickle.loads(state["coordinator"]))
+        snap = pickle.loads(state["coordinator"])
+        self._restore_coordinator_state(snap)
         self.worker0.restore_state(pickle.loads(state["shards"][0]))
+        if "merged_fault_payloads" in snap:
+            # Written before dead shards' fault counters were absorbed on
+            # arrival: in such a checkpoint they are still pending.
+            for shard, payload in self.dead_payloads.items():
+                self._absorb_faults(shard, payload)
         # A rollback may land before a checkpoint the run already wrote;
         # allow the replay to rewrite the newer ones (atomically), so a
         # corrupt snapshot heals instead of poisoning every later
@@ -954,16 +870,8 @@ class _Coordinator:
         the handover when a worker's restart budget is exhausted and its
         shard is abandoned at its last checkpointed state."""
         nodes = state["nodes"]
-        cursor = state["faults"]
-        faults_payload = None
-        if cursor is not None:
-            faults_payload = {
-                "counters": dict(cursor["counters"]),
-                "recoveries": list(cursor["recoveries"]),
-                "seen_crashed": dict(cursor["seen_crashed"]),
-            }
         return {
-            "faults": faults_payload,
+            "faults": state["faults"],
             "cross_messages": state["cross_messages"],
             "cross_bits": state["cross_bits"],
             "ledger_words": _ledger_words(nodes.values()),
@@ -989,7 +897,7 @@ class _Coordinator:
         if failure.reason == "hung":
             self.hang_detections += 1
         self.rollbacks += 1
-        self._kill_children()
+        self.shutdown(notify=False)
         state = self._load_rollback_state()
         if self.restarts[shard] >= sup.max_restarts:
             self._restore_from_state(state)
@@ -1074,23 +982,9 @@ class _Coordinator:
             # Supervision can abandon a shard with no fault plan at all
             # (externally killed worker, restart budget exhausted); there
             # is no crash accounting to mirror then.
-            self.dead_seen.update(woken)
             return
-        stats = faults.stats
         for node_id in sorted(woken):
-            stats.crash_rounds += 1
-            if node_id not in self.dead_seen:
-                self.dead_seen.add(node_id)
-                faults._seen_crashed.setdefault(node_id, round_number)
-                windows = sorted(
-                    (w for w in self.plan.crashes if w.node == node_id),
-                    key=lambda w: w.start,
-                )
-                for window in windows:
-                    if window.end is not None:
-                        stats.recoveries.append(
-                            (node_id, window.start, window.end)
-                        )
+            faults.note_crash_skip(node_id, round_number)
 
     # ------------------------------------------------------------------
     # report handling
@@ -1130,52 +1024,19 @@ class _Coordinator:
         for entry in payload["residue"]:
             heapq.heappush(self.residue, tuple(entry))
         self.min_wake[shard] = None
-        if payload["faults"] is not None:
-            # Residue accounting must not re-record a recovery span the
-            # worker already noted before dying: seed the first-seen set
-            # now (counters still merge once, at run end).
-            for node_id, first in payload["faults"]["seen_crashed"].items():
-                self.dead_seen.add(node_id)
-                self.sim.faults._seen_crashed.setdefault(node_id, first)
         self._absorb_common(shard, payload)
 
+    def _absorb_faults(self, shard: int, payload: Dict[str, Any]) -> None:
+        # Shard 0 steps on this process's own injector, so its counters
+        # are already live there; a child's arrive in its payload.
+        if shard != 0 and payload["faults"] is not None:
+            self.sim.faults.absorb(payload["faults"])
+
     def _absorb_common(self, shard: int, payload: Dict[str, Any]) -> None:
-        if payload["faults"] is not None:
-            self.merged_fault_payloads.append(payload["faults"])
+        self._absorb_faults(shard, payload)
         self.cross_messages += payload["cross_messages"]
         self.cross_bits += payload["cross_bits"]
         self.ledger_words[shard] = payload["ledger_words"]
-
-    def _absorb_worker0(self) -> None:
-        """Absorb shard 0's cross counters and ledger words.
-
-        Shard 0 runs in-process and shares the coordinator's injector
-        object, so its fault payload must NOT be merged (the counters
-        are already live in ``sim.faults.stats``).
-        """
-        reply = self.worker0._common_reply()
-        reply["faults"] = None
-        self._absorb_common(0, reply)
-
-    def _merge_fault_stats(self) -> None:
-        faults = self.sim.faults
-        if faults is None:
-            return
-        stats = faults.stats
-        for payload in self.merged_fault_payloads:
-            for name, value in payload["counters"].items():
-                setattr(stats, name, getattr(stats, name) + value)
-            stats.recoveries.extend(
-                tuple(entry) for entry in payload["recoveries"]
-            )
-            for node_id, first_round in payload["seen_crashed"].items():
-                self.dead_seen.add(node_id)
-                faults._seen_crashed.setdefault(node_id, first_round)
-        # Multi-process accumulation interleaves shards, so normalize to
-        # a deterministic order (the single-process list is append-
-        # ordered; only its length is surfaced in summaries).
-        stats.recoveries.sort()
-        self.merged_fault_payloads = []
 
     # ------------------------------------------------------------------
     # worker conversation
@@ -1226,12 +1087,20 @@ class _Coordinator:
             raise errors[0]
         return reports
 
-    def _broadcast_collect(self, command, round_number: int = -1) -> Dict[int, Any]:
-        """Send one command to every live child and gather the replies."""
+    def _broadcast_collect(
+        self, command, round_number: int = -1, local=None
+    ) -> Dict[int, Any]:
+        """Send one command to every live child and gather the replies.
+
+        ``local`` computes shard 0's share in this process while the
+        children compute theirs; its result is reply 0.
+        """
         replies: Dict[int, Any] = {}
         for shard, conn, _proc in self.children:
             if self.alive[shard]:
                 conn.send(command)
+        if local is not None:
+            replies[0] = local()
         for shard, conn, proc in self.children:
             if self.alive[shard]:
                 reply = self._recv(shard, conn, proc, round_number)
@@ -1331,6 +1200,18 @@ class _Coordinator:
                 "shards_abandoned": sorted(self.infra_dead),
             }
 
+    def _close_run(self) -> None:
+        """Run-end bookkeeping shared by the clean and stalled paths."""
+        if self.alive[0]:
+            self._absorb_common(0, self.worker0._common_reply())
+        if self.sim.faults is not None:
+            # Multi-process accumulation interleaves shards, so normalize
+            # to a deterministic order (the single-process list is
+            # append-ordered; only its length is surfaced in summaries).
+            self.sim.faults.stats.recoveries.sort()
+        self._mark_remote()
+        self._attach_shard_summary()
+
     def _finish(self, round_number: int) -> SimulationStats:
         replies = self._broadcast_collect(("finish",), round_number)
         for shard, reply in replies.items():
@@ -1343,40 +1224,32 @@ class _Coordinator:
                 (e["node"], None, e["diameter"], e["start"], e["done"])
                 for e in payload["nodes"]
             )
-        if self.alive[0]:
-            self._absorb_worker0()
-        self._merge_fault_stats()
-        self._mark_remote()
-        self._attach_shard_summary()
+        self._close_run()
         return self.stats
 
     def stall(self, round_number: int) -> None:
         """Three-phase stall collection, then raise the structured error."""
         sim = self.sim
         sent_by_node: Dict[int, frozenset] = {}
-        if self.alive[0]:
-            sent_by_node.update(self.worker0.stall_sent_sources())
-        for shard, reply in self._broadcast_collect(
-            ("stall",), round_number
-        ).items():
+        for reply in self._broadcast_collect(
+            ("stall",),
+            round_number,
+            local=self.worker0.stall_sent_sources if self.alive[0] else None,
+        ).values():
             sent_by_node.update(reply)
         for payload in self.dead_payloads.values():
             for entry in payload["nodes"]:
                 sent_by_node[entry["node"]] = entry["sent"]
+        from repro.core.pipeline import complete_sources
+
         config = self.config
-        expected = sorted(
-            v for v in range(self.n)
-            if config is not None and config.is_source(v)
-        )
-        complete = frozenset(
-            source
-            for source in expected
-            if all(
-                source in sent
-                for owner, sent in sent_by_node.items()
-                if owner != source
-            )
-        )
+        complete = frozenset(complete_sources(
+            (
+                v for v in range(self.n)
+                if config is not None and config.is_source(v)
+            ),
+            sent_by_node,
+        ))
         for shard, reply in self._broadcast_collect(
             ("partial", complete), round_number
         ).items():
@@ -1384,11 +1257,7 @@ class _Coordinator:
             self._patch_partial(reply["extracts"])
         for payload in self.dead_payloads.values():
             self._patch_partial(self._dead_partial(payload, complete))
-        if self.alive[0]:
-            self._absorb_worker0()
-        self._merge_fault_stats()
-        self._mark_remote()
-        self._attach_shard_summary()
+        self._close_run()
         crashed = (
             tuple(sim.faults.crashed_nodes(round_number))
             if sim.faults is not None else ()

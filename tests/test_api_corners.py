@@ -65,8 +65,13 @@ class TestResultObjectCorners:
                 "unknown partitioner 'bogus' (expected one of "
                 "('block', 'greedy'))",
             ),
+            (
+                {"faults": "bogus"},
+                "faults must be a FaultPlan or a FaultInjector, got "
+                "'bogus'",
+            ),
         ],
-        ids=["engine", "workers", "congest_factor", "partitioner"],
+        ids=["engine", "workers", "congest_factor", "partitioner", "faults"],
     )
     def test_bad_simulator_setting_raises_typed_error(self, kwargs, message):
         with pytest.raises(exceptions.SimulatorConfigError) as info:

@@ -407,10 +407,8 @@ class TestResumeCommand:
                 },
             ),
             (
-                # chaos reports the pause as an error (exit 1), where bc
-                # maps it to exit 3.
                 ("chaos", "--drop", "0.05"),
-                1,
+                3,
                 {
                     "protocol": "hua-bc",
                     "arithmetic": "lfloat",

@@ -801,6 +801,90 @@ class TestInjector:
         assert len(delivered) == 1
         assert delivered[0][0] == 5  # next-round delivery
 
+    STATE_PLAN = FaultPlan(
+        seed=5,
+        drop_rate=0.2,
+        duplicate_rate=0.2,
+        delay_rate=0.2,
+        corrupt_rate=0.1,
+        crashes=(
+            CrashWindow(2, 5, 15),
+            CrashWindow(3, 30, None),
+            CrashWindow(4, 20, 25),
+        ),
+        link_outages=(LinkOutage(0, 1, 10, 20),),
+    )
+
+    @staticmethod
+    def _drive(injector, rounds):
+        """Every decision a run makes in ``rounds``, as plain data."""
+        from repro.congest import IntMessage
+
+        message = IntMessage(1)
+        outcomes = []
+        for r in rounds:
+            for v in injector.crashed_nodes(r):
+                injector.note_crash_skip(v, r)
+            for sender, receiver in ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1)):
+                outcomes.append([
+                    (due, delivered is message)
+                    for due, delivered in injector.deliveries(
+                        r, sender, receiver, message
+                    )
+                ])
+        return outcomes
+
+    def test_restored_snapshot_replays_the_same_decisions(self):
+        import pickle
+
+        original = FaultInjector(self.STATE_PLAN)
+        self._drive(original, range(1, 25))
+        state = pickle.loads(pickle.dumps(original.snapshot()))
+        restored = FaultInjector(self.STATE_PLAN)
+        restored.restore(state)
+        later = range(25, 50)
+        assert self._drive(restored, later) == self._drive(original, later)
+        assert restored.snapshot() == original.snapshot()
+        assert restored.stats.as_dict() == original.stats.as_dict()
+        assert original.stats.as_dict()["total_injected"] > 0
+        assert original.stats.recoveries == [(2, 5, 15), (4, 20, 25)]
+
+    def test_absorb_adds_counters_and_keeps_the_first_crash(self):
+        plan = self.STATE_PLAN
+        early, late = FaultInjector(plan), FaultInjector(plan)
+        self._drive(early, range(5, 12))
+        self._drive(late, range(8, 40))
+        before = early.stats.as_dict()
+        late_counts = late.stats.as_dict()
+        early.absorb(late.snapshot())
+        after = early.stats.as_dict()
+        for name, value in before.items():
+            assert after[name] == value + late_counts[name]
+        assert early.stats.recoveries == [
+            (2, 5, 15), (2, 5, 15), (4, 20, 25),
+        ]
+        # node 2 first crashed at round 5 here and at round 8 there;
+        # nodes 3 and 4 only there
+        seen = {2: 5, 3: 30, 4: 20}
+        assert early.snapshot()["seen_crashed"] == seen
+        late.absorb(early.snapshot())
+        assert late.snapshot()["seen_crashed"] == seen
+        # a node first seen through absorb records no second span
+        early.note_crash_skip(4, 24)
+        assert len(early.stats.recoveries) == 3
+
+    def test_simulator_hands_its_tracer_to_a_given_injector(self):
+        from repro.congest import NodeAlgorithm, Simulator, Tracer
+
+        class Idle(NodeAlgorithm):
+            def on_round(self, ctx, inbox):
+                self.done = True
+
+        tracer = Tracer()
+        injector = FaultInjector(FaultPlan(seed=1))
+        Simulator(figure1_graph(), Idle, tracer=tracer, faults=injector)
+        assert injector.tracer is tracer
+
     def test_trace_records_fault_events(self):
         from repro.congest import Tracer
 

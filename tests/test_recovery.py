@@ -10,9 +10,11 @@ or degrades to a *partial* answer, but never resumes from garbage.
 """
 
 import multiprocessing
+import pickle
 import signal
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.shard import (
     SupervisionConfig,
     list_checkpoints,
     load_checkpoint,
+    read_checkpoint,
     read_manifest,
     resolve_checkpoint,
     supervision_for,
@@ -76,6 +79,35 @@ def _fingerprint_sans_faults(result):
     if faults is not None:
         assert all(not v for v in faults.values()), faults
     return dict(fp, summary=summary)
+
+
+def _with_pending_fault_counters(ckpt):
+    """Rewrite a checkpoint in the layout that kept every dead shard's
+    fault counters pending in ``coordinator.bin`` (to be merged at run
+    end) instead of absorbed into shard 0's injector."""
+    state = read_checkpoint(ckpt)
+    coord = pickle.loads(state["coordinator"])
+    shard0 = pickle.loads(state["shards"][0])
+    assert coord["dead_payloads"]
+    own = shard0["faults"]
+    for shard, payload in coord["dead_payloads"].items():
+        if shard == 0:
+            continue  # shard 0 counted on this injector all along
+        for name, value in payload["faults"]["counters"].items():
+            own["counters"][name] -= value
+        for span in payload["faults"]["recoveries"]:
+            own["recoveries"].remove(span)
+    coord["dead_seen"] = set()
+    coord["merged_fault_payloads"] = [
+        payload["faults"] for payload in coord["dead_payloads"].values()
+    ]
+    write_checkpoint(
+        ckpt.parent,
+        state["round"],
+        {**state["shards"], 0: pickle.dumps(shard0)},
+        pickle.dumps(coord),
+        state["manifest"]["meta"],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +369,43 @@ class TestPauseResume:
             resume_from=str(resolve_checkpoint(tmp_path)),
         )
         assert _fingerprint(resumed) == reference
+
+    @pytest.mark.parametrize(
+        "pair", [(4, 5), (0, 1)], ids=["shard2", "shard0"]
+    )
+    def test_resume_with_pending_dead_shard_counters(self, pair, tmp_path):
+        """A checkpoint whose dead shards' fault counters are still
+        pending resumes to the event run's counters."""
+        graph = path_graph(8)
+        plan = FaultPlan(
+            seed=3,
+            drop_rate=0.05,
+            crashes=tuple(CrashWindow(v, 6, None) for v in pair),
+        )
+        common = dict(arithmetic="lfloat", faults=plan, resilient=True)
+        reference = distributed_betweenness(graph, engine="event", **common)
+        sharded = dict(common, engine="shard", workers=4, partitioner="block")
+        with pytest.raises(CheckpointPause) as excinfo:
+            distributed_betweenness(
+                graph,
+                supervision=SupervisionConfig(
+                    checkpoint_every=10,
+                    checkpoint_dir=str(tmp_path),
+                    stop_after=20,
+                ),
+                **sharded,
+            )
+        ckpt = Path(excinfo.value.checkpoint_path)
+        _with_pending_fault_counters(ckpt)
+        resumed = distributed_betweenness(
+            graph, resume_from=str(ckpt), **sharded
+        )
+        assert (
+            resumed.stats.faults.as_dict()
+            == reference.stats.faults.as_dict()
+        )
+        assert resumed.completeness == reference.completeness
+        assert resumed.betweenness == reference.betweenness
 
     def test_resume_refuses_a_different_run(self, tmp_path):
         graph = cycle_graph(12)

@@ -268,15 +268,21 @@ class TestShardFaults:
             == reference.stats.faults.as_dict()
         )
 
-    def test_kill_whole_worker_completeness_parity(self):
+    @pytest.mark.parametrize(
+        "pair", [(4, 5), (0, 1)], ids=["shard2", "shard0"]
+    )
+    def test_kill_whole_worker_completeness_parity(self, pair):
         """Permanently crashing every node of one shard kills the worker
         process outright; the coordinator must absorb its final state
-        and report the same partial result as the event engine."""
+        and report the same partial result as the event engine.  Shard 0
+        runs in the coordinator on its injector, so its death adds no
+        counters a second time."""
         graph = path_graph(8)
-        # block/W=4 puts {4, 5} alone in shard 2; crash both for good.
+        # block/W=4 puts each pair {2k, 2k+1} alone in shard k; crash
+        # both of one pair for good.
         plan = FaultPlan(
             seed=3,
-            crashes=(CrashWindow(4, 6, None), CrashWindow(5, 6, None)),
+            crashes=tuple(CrashWindow(v, 6, None) for v in pair),
         )
 
         def run(engine, **kwargs):
