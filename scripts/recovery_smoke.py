@@ -8,7 +8,12 @@ Two layers, both of which must pass on a single-core CI runner:
    snapshot lands), then ``repro resume <dir> --check`` and demand
    exit 0: the resumed run must be bit-identical to a fresh
    uninterrupted run (betweenness, rounds, bits, messages).
-2. **In-process matrix** — a reduced ``benchmarks/bench_recovery.py``
+2. **Shared checkpoint root** — two ``repro bc --engine shard`` runs
+   that differ only in ``--arithmetic`` checkpoint into one fresh
+   root and must land in two run directories: the run key covers every
+   setting that changes the run, so neither run can restore the
+   other's snapshots.
+3. **In-process matrix** — a reduced ``benchmarks/bench_recovery.py``
    (resume identity + hang respawn + the N = 400 overhead row), written
    to ``BENCH_recovery.json`` at the repo root and appended to the
    run-history ledger, for ``repro bench compare`` gating.
@@ -95,6 +100,27 @@ def kill_and_resume(protocol):
     return None
 
 
+def shared_root():
+    """Two runs differing only in arithmetic, one checkpoint root: each
+    must get its own run directory."""
+    with tempfile.TemporaryDirectory(prefix="recovery-smoke-") as ckpt_root:
+        for extra in ([], ["--arithmetic", "exact"]):
+            run = _cli([
+                "bc", "--graph", KILL_GRAPH, "--engine", "shard",
+                "--workers", "3", "--checkpoint-every", "10",
+                "--checkpoint-dir", ckpt_root,
+            ] + extra)
+            out, _ = run.communicate(timeout=600)
+            if run.returncode != 0:
+                return "run {} exited {}:\n{}".format(
+                    extra, run.returncode, out.decode(errors="replace")
+                )
+        runs = sorted(p.name for p in Path(ckpt_root).iterdir())
+    if len(runs) != 2:
+        return "{} run directories {}, expected 2".format(len(runs), runs)
+    return None
+
+
 def main() -> int:
     failures = []
 
@@ -107,6 +133,12 @@ def main() -> int:
                 "kill/resume [{}]: resumed run bit-identical "
                 "(exit 0)".format(protocol)
             )
+
+    error = shared_root()
+    if error:
+        failures.append("shared root: " + error)
+    else:
+        print("shared root: lfloat and exact runs keep two run directories")
 
     rows = measure_resume(sizes=(48,))
     rows += measure_respawn(n=48)

@@ -309,10 +309,7 @@ def _supervision_from_args(args: argparse.Namespace, plan=None):
         or stop_after is not None
     ):
         return None
-    from repro.shard.supervisor import (
-        DEFAULT_HEARTBEAT_TIMEOUT,
-        SupervisionConfig,
-    )
+    from repro.shard.supervisor import SupervisionConfig
 
     recipe = {key: getattr(args, key, default) for key, default in _RECIPE_FLAGS}
     recipe.update(
@@ -322,9 +319,7 @@ def _supervision_from_args(args: argparse.Namespace, plan=None):
         plan=plan.to_dict() if plan is not None else None,
     )
     return SupervisionConfig(
-        heartbeat_timeout=(
-            timeout if timeout is not None else DEFAULT_HEARTBEAT_TIMEOUT
-        ),
+        heartbeat_timeout=timeout,
         max_restarts=restarts,
         checkpoint_every=every,
         checkpoint_dir=ckpt_dir,
@@ -1107,10 +1102,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.shard.checkpoint import read_manifest, resolve_checkpoint
-    from repro.shard.supervisor import (
-        DEFAULT_HEARTBEAT_TIMEOUT,
-        SupervisionConfig,
-    )
+    from repro.shard.supervisor import SupervisionConfig
 
     ckpt = resolve_checkpoint(Path(args.checkpoint))
     manifest = read_manifest(ckpt)
@@ -1123,21 +1115,17 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
     original, plan = _args_from_recipe(recipe)
     graph = _load_graph(original)
-    # Keep writing into the same run directory (derived from the
+    # Keep writing into the same checkpoint root (derived from the
     # snapshot's real location, not the possibly-relative recipe path)
     # so a resumed run stays checkpointed and restartable.
     supervision = SupervisionConfig(
-        heartbeat_timeout=(
-            args.heartbeat_timeout
-            if args.heartbeat_timeout is not None
-            else DEFAULT_HEARTBEAT_TIMEOUT
-        ),
+        heartbeat_timeout=args.heartbeat_timeout,
         max_restarts=args.max_restarts,
         checkpoint_every=original.checkpoint_every,
         checkpoint_dir=(
-            str(ckpt.parent.parent) if original.checkpoint_every else None
+            ckpt.parent.parent if original.checkpoint_every else None
         ),
-        resume_from=str(ckpt),
+        resume_from=ckpt,
         meta={"cli": recipe},
     )
     transport = {"faults": plan, "resilient": not original.raw}
@@ -1166,7 +1154,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if args.check:
         # The resume guarantee is differential and total: the resumed
         # run must equal an uninterrupted single-process run bit for
-        # bit — same betweenness, same rounds, same wire totals.
+        # bit — same betweenness, same rounds, same wire totals, same
+        # fault counters.
         original.engine = "event"
         fresh = distributed_betweenness(
             graph, **transport, **_run_options(original)
@@ -1178,7 +1167,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             mismatches.append(
                 "rounds ({} vs {})".format(result.rounds, fresh.rounds)
             )
-        for key in ("bits", "messages"):
+        for key in ("bits", "messages", "faults"):
             ours = result.stats.summary().get(key)
             theirs = fresh.stats.summary().get(key)
             if ours != theirs:

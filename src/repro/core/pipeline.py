@@ -29,6 +29,7 @@ from repro.congest.simulator import DEFAULT_CONGEST_FACTOR, Simulator
 from repro.congest.stats import SimulationStats
 from repro.core.config import UNIT_STRESS, ProtocolConfig
 from repro.core.node import BetweennessNode, make_node_factory
+from repro.core.schedule import require_root
 from repro.exceptions import (
     EngineCapabilityError,
     ProtocolError,
@@ -335,12 +336,7 @@ def distributed_betweenness(
         root, _election_rounds = elect_root(
             graph, strict=strict, congest_factor=congest_factor
         )
-    if not graph.has_node(root):
-        raise UnknownNodeError(
-            "root {} is not a node of the graph (N={})".format(
-                root, graph.num_nodes
-            )
-        )
+    require_root(graph, root)
     ctx = make_context(arithmetic, graph.num_nodes)
     config = config or ProtocolConfig()
     if faults is not None:
@@ -425,22 +421,14 @@ def _supervision(
             "checkpoint_every / checkpoint_dir / max_restarts / "
             "heartbeat_timeout / resume_from flags, not both"
         )
-    from repro.shard.supervisor import (
-        DEFAULT_HEARTBEAT_TIMEOUT,
-        SupervisionConfig,
-    )
+    from repro.shard.supervisor import SupervisionConfig
 
     return SupervisionConfig(
-        heartbeat_timeout=(
-            heartbeat_timeout if heartbeat_timeout is not None
-            else DEFAULT_HEARTBEAT_TIMEOUT
-        ),
+        heartbeat_timeout=heartbeat_timeout,
         max_restarts=max_restarts,
         checkpoint_every=checkpoint_every,
-        checkpoint_dir=(
-            str(checkpoint_dir) if checkpoint_dir is not None else None
-        ),
-        resume_from=str(resume_from) if resume_from is not None else None,
+        checkpoint_dir=checkpoint_dir,
+        resume_from=resume_from,
     )
 
 

@@ -38,6 +38,7 @@ positive for naive ones.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -101,7 +102,7 @@ def bfs_start_times(
     ``t0`` is the root's start time (the paper's Figure 1 uses 0).
     """
     require_connected(graph)
-    _require_root(graph, root)
+    require_root(graph, root)
     if mode == "shortcut":
         dist = all_pairs_distances(graph)
         order = dfs_preorder(graph, root)
@@ -212,8 +213,13 @@ def figure1_tables(graph: Graph = None) -> Dict[int, Dict[int, int]]:
 # round schedule depends only on the topology and the source set, never
 # on the arithmetic.
 # ----------------------------------------------------------------------
-def _require_root(graph: Graph, root: int) -> None:
-    if not graph.has_node(root):
+def require_root(graph: Graph, root: int) -> None:
+    """Raise :class:`UnknownNodeError` unless ``root`` names a node of
+    ``graph`` as an integer (anything :func:`operator.index` accepts)."""
+    if not (
+        hasattr(type(root), "__index__")
+        and graph.has_node(operator.index(root))
+    ):
         raise UnknownNodeError(
             "root {} is not a node of the graph (N={})".format(
                 root, graph.num_nodes
@@ -230,7 +236,7 @@ def tree_schedule(
     neighbors send, so its parent is simply the least such neighbor.
     Raises :class:`UnknownNodeError` for a root outside the graph.
     """
-    _require_root(graph, root)
+    require_root(graph, root)
     depth = bfs_distances(graph, root)
     parent: List[Optional[int]] = [None] * len(depth)
     children: List[List[int]] = [[] for _ in depth]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import Monitor, MonitorVerdict, default_monitors
@@ -397,14 +397,8 @@ class Telemetry:
             return
         self._stream_finalized = True
         self._publish_closed_spans()
-        publish = self.bus.publish
-        for name, snapshot in sorted(self.registry.snapshot().items()):
-            publish(dict(event="metric", name=name, **snapshot))
-        for verdict in self.verdicts():
-            publish(dict(event="monitor", **verdict.as_dict()))
-        if self.profiler is not None:
-            for section, numbers in sorted(self.profiler.summary().items()):
-                publish(dict(event="profile", section=section, **numbers))
+        for row in self._closing_rows():
+            self.bus.publish(row)
 
     # ------------------------------------------------------------------
     # verdicts and export
@@ -424,18 +418,22 @@ class Telemetry:
             **self._meta,
         )
 
+    def _closing_rows(self) -> Iterator[Dict[str, Any]]:
+        """The metric, monitor and profile rows of a finished run."""
+        for name, snapshot in sorted(self.registry.snapshot().items()):
+            yield dict(event="metric", name=name, **snapshot)
+        for verdict in self.verdicts():
+            yield dict(event="monitor", **verdict.as_dict())
+        if self.profiler is not None:
+            for section, numbers in sorted(self.profiler.summary().items()):
+                yield dict(event="profile", section=section, **numbers)
+
     def events(self) -> List[Dict[str, Any]]:
         """Structured export rows: header, phases, metrics, verdicts."""
         rows: List[Dict[str, Any]] = [self._meta_row()]
         for span in self.phases.spans():
             rows.append(dict(event="phase", **span.as_dict()))
-        for name, snapshot in sorted(self.registry.snapshot().items()):
-            rows.append(dict(event="metric", name=name, **snapshot))
-        for verdict in self.verdicts():
-            rows.append(dict(event="monitor", **verdict.as_dict()))
-        if self.profiler is not None:
-            for section, numbers in sorted(self.profiler.summary().items()):
-                rows.append(dict(event="profile", section=section, **numbers))
+        rows.extend(self._closing_rows())
         return rows
 
     def to_jsonl(self) -> str:

@@ -20,13 +20,14 @@ two different runs can share one checkpoint root without colliding)::
         manifest.json     written last, atomically (tmp + rename)
 
 The manifest is the commit record: schema ``repro-ckpt-v1``, the round,
-a blake2b checksum per file, and enough metadata (graph fingerprint,
-worker count, partitioner, protocol, arithmetic) to refuse a resume
-against the wrong run.  A checkpoint without a valid manifest does not
-exist; a checksum mismatch raises :class:`CheckpointError` and the
-caller falls back to an older snapshot.  Mirroring the torn-tail rule
-of the history ledger: a crash mid-write can only ever lose the newest
-checkpoint, never corrupt the answer.
+a blake2b checksum per file, and the caller's ``meta``, where the shard
+runtime keeps the run's identity (every setting that changes a round)
+and run key, to refuse a resume against the wrong run.  A checkpoint
+without a valid manifest does not exist; a checksum mismatch raises
+:class:`CheckpointError` and the caller falls back to an older
+snapshot.  Mirroring the torn-tail rule of the history ledger: a crash
+mid-write can only ever lose the newest checkpoint, never corrupt the
+answer.
 """
 
 from __future__ import annotations

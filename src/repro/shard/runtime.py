@@ -501,9 +501,6 @@ class _Coordinator:
         self.supervision = supervision_for(
             plan, getattr(sim, "supervision", None)
         )
-        self.protocol_name = (
-            sim.protocol.name if getattr(sim, "protocol", None) else None
-        )
         self.start_round = 0
         self.restarts = [0] * self.n_shards
         self.hang_detections = 0
@@ -520,23 +517,35 @@ class _Coordinator:
         self._join_timeout = 5.0
         self._ctx = None
         self._ckpt_run_dir: Optional[Path] = None
-        self._graph_hash: Optional[str] = None
         sup = self.supervision
         if sup is not None:
             from repro.obs.history import graph_fingerprint, run_key
 
-            self._graph_hash = graph_fingerprint(sim.graph)
-            key = run_key(
-                self._graph_hash,
-                {
-                    "protocol": self.protocol_name,
-                    "partitioner": self.partitioner,
-                    "workers": self.n_shards,
-                    "faults": plan.to_dict() if plan is not None else None,
+            # The run's identity, every setting that changes a round: the
+            # run directory, the manifest and the resume check read it.
+            config, cut = self.config, self.stats.cut
+            self._identity = {
+                "graph": graph_fingerprint(sim.graph),
+                "n": n,
+                "workers": self.n_shards,
+                "partitioner": self.partitioner,
+                "protocol": getattr(sim.protocol, "name", None),
+                "arithmetic": getattr(self.arith, "name", None),
+                "root": root,
+                "strict": sim.strict,
+                "bit_budget": sim.bit_budget,
+                "resilient": proto_node is not None
+                and proto_node is not sim.nodes[0],
+                "config": None if config is None else {
+                    name: sorted(v) if isinstance(v, frozenset) else v
+                    for name, v in vars(config).items()
                 },
-                "shard",
+                "faults": plan.to_dict() if plan is not None else None,
+                "cut": sorted(cut.left) if cut is not None else None,
+            }
+            self._run_key = key = run_key(
+                self._identity["graph"], self._identity, "shard"
             )
-            self._run_key = key
             if sup.checkpoints_enabled:
                 self._ckpt_run_dir = Path(sup.checkpoint_dir) / key
         self._checkpoint_every = (
@@ -724,18 +733,12 @@ class _Coordinator:
         }
 
     def _ckpt_meta(self) -> Dict[str, Any]:
-        meta = {
-            "graph": self._graph_hash,
-            "n": self.n,
-            "workers": self.n_shards,
-            "partitioner": self.partitioner,
-            "protocol": self.protocol_name,
-            "run_key": self._run_key,
-        }
-        sup = self.supervision
-        if sup is not None and sup.meta:
-            meta.update(sup.meta)
-        return meta
+        """The caller's metadata, then the run identity and its key
+        (last, so no caller key can overwrite them)."""
+        return dict(
+            self.supervision.meta or {}, **self._identity,
+            run_key=self._run_key,
+        )
 
     def _write_checkpoint(self, round_number: int) -> None:
         """Snapshot every shard at the current barrier and commit it."""
@@ -771,21 +774,16 @@ class _Coordinator:
         ckpt = resolve_checkpoint(Path(path))
         state = read_checkpoint(ckpt)
         meta = state["manifest"].get("meta", {})
-        mismatches = []
-        for key, ours in (
-            ("graph", self._graph_hash),
-            ("n", self.n),
-            ("workers", self.n_shards),
-            ("partitioner", self.partitioner),
-            ("protocol", self.protocol_name),
-        ):
-            theirs = meta.get(key)
-            if theirs != ours:
-                mismatches.append(
-                    "{}: checkpoint has {!r}, this run has {!r}".format(
-                        key, theirs, ours
-                    )
-                )
+        # A manifest written before the identity grew records only some
+        # of its fields; those are the ones it can be checked on.
+        mismatches = [
+            key if key in ("faults", "config", "cut")
+            else "{}: checkpoint has {!r}, this run has {!r}".format(
+                key, meta[key], ours
+            )
+            for key, ours in self._identity.items()
+            if key in meta and meta[key] != ours
+        ]
         if mismatches:
             raise CheckpointError(
                 "checkpoint {} belongs to a different run — {}".format(

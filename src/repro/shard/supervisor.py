@@ -75,7 +75,8 @@ class SupervisionConfig:
     ----------
     heartbeat_timeout:
         Seconds a worker's heartbeat may age mid-command before the
-        watchdog declares it hung.
+        watchdog declares it hung; ``None`` means
+        :data:`DEFAULT_HEARTBEAT_TIMEOUT`.
     max_restarts:
         Respawn budget *per shard*; 0 means any failure goes straight
         to the deterministic whole-shard-kill fallback.
@@ -106,7 +107,7 @@ class SupervisionConfig:
         rebuild the graph and plan without re-asking.
     """
 
-    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT
+    heartbeat_timeout: Optional[float] = DEFAULT_HEARTBEAT_TIMEOUT
     max_restarts: int = 0
     backoff_base: float = DEFAULT_BACKOFF_BASE
     backoff_cap: float = DEFAULT_BACKOFF_CAP
@@ -118,6 +119,13 @@ class SupervisionConfig:
     meta: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.heartbeat_timeout is None:
+            object.__setattr__(
+                self, "heartbeat_timeout", DEFAULT_HEARTBEAT_TIMEOUT
+            )
+        for name in ("checkpoint_dir", "resume_from"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, str(getattr(self, name)))
         if self.heartbeat_timeout <= 0:
             raise SupervisionConfigError(
                 "heartbeat_timeout must be > 0 seconds"

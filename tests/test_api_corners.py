@@ -40,8 +40,15 @@ class TestResultObjectCorners:
             lambda: adaptive_sampled_betweenness(star_graph(4), 99),
             lambda: bfs_start_times(path_graph(5), root=9),
             lambda: bfs_start_times(path_graph(5), root=9, mode="tree_walk"),
+            lambda: distributed_betweenness(path_graph(5), root=2.5),
+            lambda: distributed_betweenness(path_graph(5), root="a"),
+            lambda: bfs_start_times(path_graph(5), root=2.5),
+            lambda: bfs_start_times(path_graph(5), root="a"),
         ],
-        ids=["root", "dependency", "sampling", "shortcut", "tree_walk"],
+        ids=[
+            "root", "dependency", "sampling", "shortcut", "tree_walk",
+            "root_float", "root_str", "shortcut_float", "shortcut_str",
+        ],
     )
     def test_unknown_node_raises_typed_error(self, call):
         with pytest.raises(exceptions.UnknownNodeError):

@@ -27,6 +27,7 @@ from repro.exceptions import (
 )
 from repro.faults import CrashWindow, FaultPlan, SlowWorker, WorkerHang
 from repro.graphs import (
+    barabasi_albert_graph,
     cycle_graph,
     figure1_graph,
     grid_graph,
@@ -49,7 +50,7 @@ from repro.shard.checkpoint import (
     corrupt_checkpoint,
     prune_checkpoints,
 )
-from repro.shard.supervisor import WorkerFailure
+from repro.shard.supervisor import DEFAULT_HEARTBEAT_TIMEOUT, WorkerFailure
 
 
 def _fingerprint(result):
@@ -215,6 +216,17 @@ class TestSupervisionConfig:
     def test_keep_floor_is_two(self):
         with pytest.raises(ValueError):
             SupervisionConfig(keep_checkpoints=1)
+
+    def test_fills_in_its_own_defaults(self, tmp_path):
+        sup = SupervisionConfig(
+            heartbeat_timeout=None,
+            checkpoint_every=5,
+            checkpoint_dir=tmp_path,
+            resume_from=tmp_path / "ckpt",
+        )
+        assert sup.heartbeat_timeout == DEFAULT_HEARTBEAT_TIMEOUT
+        assert sup.checkpoint_dir == str(tmp_path)
+        assert sup.resume_from == str(tmp_path / "ckpt")
 
     def test_backoff_doubles_then_caps(self):
         sup = SupervisionConfig(backoff_base=0.1, backoff_cap=0.5)
@@ -416,20 +428,106 @@ class TestPauseResume:
             graph, engine="shard", workers=3, supervision=sup
         )
         ckpt = resolve_checkpoint(tmp_path)
-        with pytest.raises(CheckpointError, match="different run"):
-            distributed_betweenness(
-                path_graph(12),  # different graph entirely
-                engine="shard",
-                workers=3,
-                resume_from=str(ckpt),
-            )
-        with pytest.raises(CheckpointError, match="different run"):
+        same = dict(graph=graph, engine="shard", workers=3)
+        for change, field in (
+            ({"graph": path_graph(12)}, "graph"),
+            ({"workers": 4}, "workers"),
+            ({"arithmetic": "exact"}, "arithmetic"),
+            ({"resilient": True}, "resilient"),
+            ({"faults": FaultPlan(seed=9, drop_rate=0.1)}, "faults"),
+            ({"root": 1}, "root"),
+        ):
+            with pytest.raises(
+                CheckpointError, match="different run — .*" + field
+            ):
+                distributed_betweenness(
+                    resume_from=str(ckpt), **dict(same, **change)
+                )
+
+    def test_resume_checks_an_older_manifest_on_what_it_records(
+        self, tmp_path
+    ):
+        """A manifest that records only graph, n, workers, partitioner,
+        protocol and run_key (the layout before the full run identity)
+        still resumes to the uninterrupted result."""
+        graph = cycle_graph(14)
+        common = dict(
+            faults=FaultPlan(seed=11, drop_rate=0.05, duplicate_rate=0.02),
+            resilient=True,
+        )
+        reference = distributed_betweenness(graph, engine="event", **common)
+        sharded = dict(common, engine="shard", workers=2)
+        with pytest.raises(CheckpointPause) as excinfo:
             distributed_betweenness(
                 graph,
-                engine="shard",
-                workers=4,  # different worker count
-                resume_from=str(ckpt),
+                supervision=SupervisionConfig(
+                    checkpoint_every=10,
+                    checkpoint_dir=str(tmp_path),
+                    stop_after=20,
+                ),
+                **sharded,
             )
+        ckpt = Path(excinfo.value.checkpoint_path)
+        state = read_checkpoint(ckpt)
+        meta = state["manifest"]["meta"]
+        old = ("graph", "n", "workers", "partitioner", "protocol", "run_key")
+        write_checkpoint(
+            ckpt.parent,
+            state["round"],
+            state["shards"],
+            state["coordinator"],
+            {key: meta[key] for key in old},
+        )
+        assert set(read_manifest(ckpt)["meta"]) == set(old)
+        resumed = distributed_betweenness(
+            graph, resume_from=str(ckpt), **sharded
+        )
+        assert resumed.betweenness == reference.betweenness
+        assert resumed.rounds == reference.rounds
+        assert resumed.stats.summary() == reference.stats.summary()
+
+
+# ----------------------------------------------------------------------
+# one checkpoint root shared by different runs
+# ----------------------------------------------------------------------
+class TestSharedCheckpointRoot:
+    @pytest.mark.parametrize(
+        "setting",
+        [{"arithmetic": "exact"}, {"resilient": True}, {"root": 5}],
+        ids=["arithmetic", "resilient", "root"],
+    )
+    def test_runs_differing_in_one_setting_never_mix(
+        self, setting, tmp_path
+    ):
+        """Two runs sharing a checkpoint root and a worker-hang plan
+        (so a rollback reads the root) keep to their own snapshots."""
+        # No symmetry: on a cycle the root-0 and root-5 runs coincide.
+        graph = barabasi_albert_graph(24, 2, seed=1)
+        plan = FaultPlan(seed=3, worker_hangs=(WorkerHang(shard=1, round=45),))
+
+        def shard_run(**kwargs):
+            return distributed_betweenness(
+                graph,
+                engine="shard",
+                workers=2,
+                faults=plan,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5,
+                    max_restarts=1,
+                    checkpoint_every=10,
+                    checkpoint_dir=str(tmp_path),
+                ),
+                **kwargs,
+            )
+
+        shard_run()
+        second = shard_run(**setting)
+        assert second.stats.supervisor["rollbacks"] == 1
+        assert len(list(tmp_path.iterdir())) == 2
+        reference = distributed_betweenness(graph, engine="event", **setting)
+        assert second.rounds == reference.rounds
+        assert second.stats.bit_count == reference.stats.bit_count
+        assert second.betweenness == reference.betweenness
 
 
 # ----------------------------------------------------------------------
